@@ -94,9 +94,6 @@ class AssignmentSolution:
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AssignmentSolution":
         return cls(frozenset((int(a), int(j)) for a, j in edges))
 
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
     def validate(self, instance: BipartiteInstance) -> None:
         """Raise unless this is a complete, cap-respecting assignment."""
         load = np.zeros(instance.n_left, dtype=int)
@@ -297,13 +294,3 @@ class RoundRobinSampler:
                 break
         return AssignmentSolution.from_edges(edges)
 
-
-def round_robin_sample(
-    instance: BipartiteInstance, rng: np.random.Generator
-) -> AssignmentSolution:
-    """One round-robin draw (convenience wrapper around the sampler).
-
-    For repeated sampling construct a :class:`RoundRobinSampler` once; it
-    caches the per-agent preference orders.
-    """
-    return RoundRobinSampler(instance).sample(rng)

@@ -21,9 +21,8 @@ import sys
 from typing import Callable
 
 from .assignment import InfeasibleError
-from .core import ParameterError, ScaleError
+from .core import ALGORITHMS, ParameterError, ScaleError
 from .experiments import (
-    ALGORITHMS,
     DEFAULT_ALPHA_GRID,
     ORACLE_PRESETS,
     SCENARIOS,
@@ -132,13 +131,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if flag_value is not None:
             return flag_value
         if key in file_vals:
-            return _FILE_KEYS[key](file_vals[key])
+            try:
+                return _FILE_KEYS[key](file_vals[key])
+            except ValueError as exc:
+                raise ParameterError(f"config key {key!r}: {exc}") from None
         return default
 
     config = ExperimentConfig(
         scenario=pick(args.scenario, "scenario", "synthetic"),
         algorithm=pick(args.algorithm, "algorithm", "simple_mix"),
-        alpha_grid=pick(args.alpha_grid, "alpha_grid", None) or DEFAULT_ALPHA_GRID,
+        alpha_grid=pick(args.alpha_grid, "alpha_grid", DEFAULT_ALPHA_GRID),
         epsilon=pick(args.epsilon, "epsilon"),
         n_rounds=pick(args.rounds, "rounds"),
         n_batches=pick(args.batches, "batches"),

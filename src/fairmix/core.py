@@ -2,9 +2,9 @@
 
 A *solution* is an outcome of some selection problem (an allocation, a
 matching, a panel, ...).  Small enumerable problems identify solutions with
-integer ids; structured scenarios may use richer hashable objects (tuples,
-frozen dataclasses) as long as they expose a deterministic sort key via
-:func:`canonical_key`.
+integer ids; structured scenarios may use any hashable objects (tuples,
+frozen dataclasses).  The mixing algorithms only ever compare solutions by
+value, so solutions need no ordering of their own.
 
 A :class:`Distribution` is a sparse lottery over integer solution ids.  A
 :class:`FairPrior` wraps sampling access to the lottery produced by some
@@ -19,7 +19,8 @@ an output lottery may move away from the fair prior.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+import math
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +37,17 @@ class ScaleError(ParameterError):
     """An input is too large for an exact (enumerating) code path."""
 
 
+#: Names of the mixing algorithms, as the CLI, sweeps and oracles spell them.
+ALGORITHMS = ("simple_mix", "epsilon_mix")
+
+
+def check_alpha(alpha: float) -> float:
+    """Validate a fairness budget in the closed range ``[0, 1]``."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return float(alpha)
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -44,8 +56,8 @@ class Distribution:
     """A sparse probability distribution over integer solution ids.
 
     Entries with probability exactly zero are dropped on construction, all
-    probabilities must be non-negative, and the total mass must equal one up
-    to :data:`NORM_TOL`.  Instances are immutable.
+    probabilities must be non-negative (NaN is rejected), and the total mass
+    must equal one up to :data:`NORM_TOL`.  Instances are immutable.
 
     >>> d = Distribution({3: 0.25, 1: 0.75, 2: 0.0})
     >>> d.support
@@ -60,6 +72,8 @@ class Distribution:
         probs: dict[int, float] = {}
         for sid, p in entries.items():
             p = float(p)
+            if math.isnan(p):
+                raise ParameterError(f"probability of solution {sid!r} is NaN")
             if p < 0.0:
                 raise ParameterError(f"negative probability {p!r} for solution {sid!r}")
             if p > 0.0:
@@ -81,6 +95,13 @@ class Distribution:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._probs))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support ids ascending and their probabilities, renormalized so the
+        float sum is one to rounding (numpy's samplers check it)."""
+        ids = np.array(self.support, dtype=np.int64)
+        probs = np.array([self._probs[i] for i in self.support], dtype=float)
+        return ids, probs / probs.sum()
 
     def items(self) -> Iterator[tuple[int, float]]:
         return iter(sorted(self._probs.items()))
@@ -118,9 +139,7 @@ def is_alpha_fair(p: Distribution, prior: Distribution, alpha: float) -> bool:
     The comparison allows :data:`NORM_TOL` of slack so that lotteries sitting
     exactly on the budget (a common boundary case) are accepted.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return tv_distance(p, prior) <= alpha + NORM_TOL
+    return tv_distance(p, prior) <= check_alpha(alpha) + NORM_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +151,15 @@ class ValueFunction:
 
     Wraps a callable ``solution -> float``.  When the solution space is
     enumerable the ids ``0..n-1`` and their values can be given as a dense
-    vector via :meth:`from_array`, which also enables vectorized lookups
-    through :attr:`values` and exact maximization through :meth:`argmax`.
+    vector via :meth:`from_array`, which exposes the vector as
+    :attr:`values` (its size is the number of solutions) and enables exact
+    maximization through :meth:`argmax`.
     """
 
-    __slots__ = ("_fn", "domain", "values")
+    __slots__ = ("_fn", "values")
 
-    def __init__(
-        self,
-        fn: Callable[[Any], float],
-        domain: Sequence[int] | None = None,
-        values: np.ndarray | None = None,
-    ):
+    def __init__(self, fn: Callable[[Any], float], values: np.ndarray | None = None):
         self._fn = fn
-        self.domain = tuple(domain) if domain is not None else None
         self.values = values
 
     @classmethod
@@ -158,7 +172,7 @@ class ValueFunction:
             raise ParameterError("values must be finite and non-negative")
         arr = arr.copy()
         arr.setflags(write=False)
-        return cls(lambda sid: float(arr[sid]), domain=range(arr.size), values=arr)
+        return cls(lambda sid: float(arr[sid]), values=arr)
 
     def __call__(self, solution: Any) -> float:
         v = float(self._fn(solution))
@@ -193,45 +207,35 @@ class FairPrior:
     """Sampling access to the output lottery of a baseline fair mechanism.
 
     Only sampling is required in general; the exact oracles additionally
-    need the lottery itself, supplied as ``explicit``.  ``sample_many``
-    defaults to repeated single draws but may be overridden with a faster
-    vectorized implementation.
+    need the lottery itself, supplied as ``explicit``, and ``sampler`` must
+    then draw from it.  :meth:`sample_many` draws an ``explicit`` lottery in
+    one vectorized call and otherwise repeats single draws.
     """
 
-    __slots__ = ("_sample", "_sample_many", "explicit")
+    __slots__ = ("_sample", "explicit")
 
     def __init__(
         self,
         sampler: Callable[[np.random.Generator], Any],
         explicit: Distribution | None = None,
-        sample_many: Callable[[np.random.Generator, int], Sequence[Any]] | None = None,
     ):
         self._sample = sampler
-        self._sample_many = sample_many
         self.explicit = explicit
 
     @classmethod
     def from_distribution(cls, dist: Distribution) -> "FairPrior":
         """Prior with both sampling access and the explicit lottery."""
-        ids = np.array(dist.support, dtype=np.int64)
-        probs = np.array([dist[i] for i in ids], dtype=float)
-        probs = probs / probs.sum()  # exact renormalization for the sampler
-
-        def sample(rng: np.random.Generator) -> int:
-            return int(ids[rng.choice(probs.size, p=probs)])
-
-        def sample_many(rng: np.random.Generator, n: int) -> np.ndarray:
-            return ids[rng.choice(probs.size, size=n, p=probs)]
-
-        return cls(sample, explicit=dist, sample_many=sample_many)
+        ids, probs = dist.arrays()
+        return cls(lambda rng: int(ids[rng.choice(probs.size, p=probs)]), explicit=dist)
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self._sample(rng)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> list[Any] | np.ndarray:
-        if self._sample_many is not None:
-            return self._sample_many(rng, n)
-        return [self._sample(rng) for _ in range(n)]
+        if self.explicit is None:
+            return [self._sample(rng) for _ in range(n)]
+        ids, probs = self.explicit.arrays()
+        return ids[rng.choice(probs.size, size=n, p=probs)]
 
 
 class WelfareMechanism:
@@ -283,25 +287,5 @@ class InterpolationInstance:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        check_alpha(self.alpha)
 
-
-# ---------------------------------------------------------------------------
-# generic solution ordering
-
-
-def canonical_key(solution: Any) -> Any:
-    """Deterministic sort key used to break value ties between solutions.
-
-    Integer ids order by value; structured solutions must either be tuples
-    (ordered directly) or expose a ``sort_key()`` method returning one.
-    """
-    if isinstance(solution, (int, np.integer)):
-        return int(solution)
-    key_fn = getattr(solution, "sort_key", None)
-    if key_fn is not None:
-        return key_fn()
-    if isinstance(solution, tuple):
-        return solution
-    raise TypeError(f"solution {solution!r} has no canonical ordering")

@@ -30,6 +30,7 @@ from .assignment import (
     utilitarian_value,
 )
 from .core import (
+    ALGORITHMS,
     Distribution,
     FairPrior,
     InterpolationInstance,
@@ -43,7 +44,6 @@ from .oracle import GuaranteeReport, check_guarantees
 from .sortition import sortition_fwi_instance
 
 SCENARIOS = ("synthetic", "bids", "sortition")
-ALGORITHMS = ("simple_mix", "epsilon_mix")
 ORACLE_PRESETS = ("tightness", "zero-prior", "random")
 
 #: The default fairness-budget grid: 1/20, 2/20, ..., 19/20.

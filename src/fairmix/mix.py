@@ -6,30 +6,37 @@ high-welfare mechanism.  On tails they fall back toward the fair prior:
 * :func:`simple_mix` returns a single draw from the prior, giving the
   closed-form output lottery ``alpha * point_mass(A) + (1 - alpha) * prior``.
 * :func:`epsilon_mix` draws a batch of prior samples, sorts them by value
-  (descending, deterministic tie-break), removes an ``alpha`` fraction of
-  the sample weight from the low-value tail, and picks one sample in
-  proportion to the surviving weights.  The batch size grows like
-  ``1 / ((1 - alpha) * epsilon**2)`` and controls how much of the optimal
-  constrained welfare is preserved (a ``(1 - epsilon)`` factor).
+  (descending), removes an ``alpha`` fraction of the sample weight from the
+  low-value tail, and picks one sample in proportion to the surviving
+  weights.  The batch size grows like ``1 / ((1 - alpha) * epsilon**2)``
+  and controls how much of the optimal constrained welfare is preserved (a
+  ``(1 - epsilon)`` factor).
 
 Either way the output lottery stays within total-variation ``alpha`` of the
 prior; for :func:`epsilon_mix` this holds for *any* sample count, so the
 ``n_samples`` override trades welfare, never fairness.
+
+Each algorithm is implemented once, in its ``_many`` form: flip ``n`` alpha
+coins, draw every tail, then run the mechanism for each head.  The single
+runs are the ``n = 1`` case.  :func:`epsilon_mix_many` draws tails from an
+explicit prior through multinomial sample counts, and from any other prior
+one sample batch at a time.
+
+Ties in value: on an explicit prior the sorted batch orders equal values by
+id ascending; on a sampled prior equal values keep their draw order.  Both
+guarantees depend on values only: every kept weight is at most 1 whatever
+the order among equal values, so the total-variation bound holds, and the
+welfare bound is a function of the values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    Distribution,
-    InterpolationInstance,
-    ParameterError,
-    canonical_key,
-)
+from .core import Distribution, InterpolationInstance, ParameterError, check_alpha
 
 __all__ = [
     "sample_size",
@@ -85,44 +92,22 @@ def trim_weights(s: int, alpha: float) -> np.ndarray:
         raise ParameterError(f"sample count must be >= 1, got {s!r}")
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must lie in [0, 1) to trim, got {alpha!r}")
+    return np.diff(_kept_mass(np.arange(s + 1), s, alpha))
+
+
+def _kept_mass(t: np.ndarray, s: int, alpha: float) -> np.ndarray:
+    """``W(t)``: weight kept among the first ``t`` of ``s`` value-sorted samples.
+
+    Trimming ``alpha * s`` mass from the low-value end leaves
+    ``n1 = s - 1 - floor(alpha * s)`` samples of weight 1, then one boundary
+    sample of weight ``f = 1 - (alpha * s - floor(alpha * s))``, then zeros,
+    so ``W(t) = min(t, n1) + f * clip(t - n1, 0, 1)`` and
+    ``W(s) = (1 - alpha) * s``.
+    """
     remove = alpha * s
-    k_zero = int(math.floor(remove))
-    w = np.ones(s, dtype=float)
-    if k_zero > 0:
-        w[s - k_zero:] = 0.0
-    if k_zero < s:
-        w[s - 1 - k_zero] = 1.0 - (remove - k_zero)
-    return w
-
-
-def _values_of(instance: InterpolationInstance, samples: Sequence[Any]) -> np.ndarray:
-    value = instance.value
-    if value.values is not None and isinstance(samples, np.ndarray):
-        return value.values[samples]
-    return np.array([value(s) for s in samples], dtype=float)
-
-
-def _sorted_order(values: np.ndarray, samples: Sequence[Any]) -> np.ndarray:
-    """Indices sorting samples by value descending, canonical key ascending."""
-    if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
-        return np.lexsort((samples, -values))
-    order = np.argsort(-values, kind="stable")
-    sorted_vals = values[order]
-    # Stable sort leaves equal-value runs in draw order; re-sort each run by
-    # the samples' canonical keys so the outcome is draw-order independent.
-    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [order.size]))
-    for r in np.flatnonzero(ends - starts > 1):
-        lo, hi = int(starts[r]), int(ends[r])
-        order[lo:hi] = sorted(order[lo:hi], key=lambda j: canonical_key(samples[j]))
-    return order
-
-
-def _pick_trimmed(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+    k_zero = math.floor(remove)
+    n_ones = s - 1 - k_zero
+    return np.minimum(t, n_ones) + (1.0 - (remove - k_zero)) * np.clip(t - n_ones, 0.0, 1.0)
 
 
 def epsilon_mix(
@@ -137,33 +122,20 @@ def epsilon_mix(
     draws ``sample_size(alpha, epsilon)`` prior samples (or ``n_samples``
     if given), trims an ``alpha`` fraction of their weight from the
     low-value end, and returns one sample drawn in proportion to the
-    surviving weights.
+    surviving weights.  Equivalent to :func:`epsilon_mix_many` with
+    ``n = 1``.
     """
-    _check_epsilon(epsilon)
-    if n_samples is not None and n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
-    alpha = instance.alpha
-    if rng.random() < alpha:
-        return instance.mechanism.run(rng)
-    s = n_samples if n_samples is not None else sample_size(alpha, epsilon)
-    samples = instance.prior.sample_many(rng, s)
-    values = _values_of(instance, samples)
-    order = _sorted_order(values, samples)
-    weights = trim_weights(s, alpha)
-    picked = _pick_trimmed(weights, rng)
-    out = samples[int(order[picked])]
-    return int(out) if isinstance(out, np.integer) else out
+    return epsilon_mix_many(instance, epsilon, 1, rng, n_samples=n_samples)[0]
 
 
 def simple_mix(instance: InterpolationInstance, rng: np.random.Generator) -> Any:
     """One run of the single-draw mixing algorithm.
 
     With probability ``alpha`` returns the mechanism's output, otherwise a
-    single prior sample.
+    single prior sample.  Equivalent to :func:`simple_mix_many` with
+    ``n = 1``.
     """
-    if rng.random() < instance.alpha:
-        return instance.mechanism.run(rng)
-    return instance.prior.sample(rng)
+    return simple_mix_many(instance, 1, rng)[0]
 
 
 def simple_mix_distribution(prior: Distribution, a: int, alpha: float) -> Distribution:
@@ -175,34 +147,44 @@ def simple_mix_distribution(prior: Distribution, a: int, alpha: float) -> Distri
     >>> simple_mix_distribution(Distribution({0: 0.2, 1: 0.8}), 0, 0.5)
     Distribution({0: 0.6, 1: 0.4})
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = check_alpha(alpha)
     out = {sid: (1.0 - alpha) * p for sid, p in prior.items()}
     out[a] = out.get(a, 0.0) + alpha
     return Distribution(out)
 
 
 # ---------------------------------------------------------------------------
-# batched runs (for Monte Carlo estimation)
+# the algorithms, ``n`` independent runs at a time
+
+
+def _mix_many(
+    instance: InterpolationInstance,
+    n: int,
+    rng: np.random.Generator,
+    draw_tails: Callable[[int], Sequence[Any]],
+) -> list[Any]:
+    """Flip ``n`` alpha coins, draw every tail, then run the mechanism per head.
+
+    ``draw_tails(m)`` returns the ``m`` tail outputs in run order.
+    """
+    heads = rng.random(n) < instance.alpha
+    m = int(n - heads.sum())
+    tails = iter(draw_tails(m) if m > 0 else ())
+    out: list[Any] = []
+    for h in heads:
+        if h:
+            out.append(instance.mechanism.run(rng))
+        else:
+            drawn = next(tails)
+            out.append(int(drawn) if isinstance(drawn, np.integer) else drawn)
+    return out
 
 
 def simple_mix_many(
     instance: InterpolationInstance, n: int, rng: np.random.Generator
 ) -> list[Any]:
-    """``n`` independent runs of :func:`simple_mix`."""
-    heads = rng.random(n) < instance.alpha
-    n_tails = int(n - heads.sum())
-    tails = instance.prior.sample_many(rng, n_tails)
-    out: list[Any] = []
-    t = 0
-    for h in heads:
-        if h:
-            out.append(instance.mechanism.run(rng))
-        else:
-            drawn = tails[t]
-            out.append(int(drawn) if isinstance(drawn, np.integer) else drawn)
-            t += 1
-    return out
+    """``n`` independent runs of the single-draw algorithm (:func:`simple_mix`)."""
+    return _mix_many(instance, n, rng, lambda m: instance.prior.sample_many(rng, m))
 
 
 def epsilon_mix_many(
@@ -212,68 +194,64 @@ def epsilon_mix_many(
     rng: np.random.Generator,
     n_samples: int | None = None,
 ) -> list[Any]:
-    """``n`` independent runs of :func:`epsilon_mix`.
+    """``n`` independent runs of the sample-trim-and-pick algorithm
+    (:func:`epsilon_mix`).
 
     When the prior is explicit, the tails are simulated through multinomial
     sample *counts* instead of materialized sample vectors, which gives the
-    same output law at a small fraction of the cost.  Otherwise this simply
-    loops over :func:`epsilon_mix`.
+    same output law at a small fraction of the cost.  Otherwise each tail
+    draws, values, sorts, trims and picks its own sample batch.
     """
     _check_epsilon(epsilon)
-    if instance.prior.explicit is None:
-        return [epsilon_mix(instance, epsilon, rng, n_samples=n_samples) for _ in range(n)]
-
+    if n_samples is not None and n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
     alpha = instance.alpha
-    heads = rng.random(n) < alpha
-    m = int(n - heads.sum())
-    tail_ids = np.empty(0, dtype=np.int64)
-    if m > 0:
-        tail_ids = _epsilon_mix_tails_by_counts(instance, epsilon, m, rng, n_samples)
-    out: list[Any] = []
-    t = 0
-    for h in heads:
-        if h:
-            out.append(instance.mechanism.run(rng))
-        else:
-            out.append(int(tail_ids[t]))
-            t += 1
+
+    def draw_tails(m: int) -> Sequence[Any]:
+        s = n_samples if n_samples is not None else sample_size(alpha, epsilon)
+        if instance.prior.explicit is not None:
+            return _tails_by_counts(instance, s, m, rng)
+        return _tails_by_samples(instance, s, m, rng)
+
+    return _mix_many(instance, n, rng, draw_tails)
+
+
+def _tails_by_samples(
+    instance: InterpolationInstance, s: int, m: int, rng: np.random.Generator
+) -> list[Any]:
+    """Tail outcomes for ``m`` runs, each from its own batch of ``s`` draws.
+
+    The batch is sorted by value descending; equal values keep draw order.
+    """
+    kept = _kept_mass(np.arange(1, s + 1), s, instance.alpha)
+    out = []
+    for _ in range(m):
+        samples = instance.prior.sample_many(rng, s)
+        values = np.array([instance.value(x) for x in samples], dtype=float)
+        order = np.argsort(-values, kind="stable")
+        picked = int(np.searchsorted(kept, rng.random() * kept[-1], side="right"))
+        out.append(samples[int(order[picked])])
     return out
 
 
-def _epsilon_mix_tails_by_counts(
-    instance: InterpolationInstance,
-    epsilon: float,
-    m: int,
-    rng: np.random.Generator,
-    n_samples: int | None,
+def _tails_by_counts(
+    instance: InterpolationInstance, s: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Tail outcomes for ``m`` runs via per-solution multinomial counts.
 
     For a single run, the sorted sample vector groups into consecutive
     blocks, one per distinct support solution in (value desc, id asc)
-    order, whose lengths are multinomial counts.  The trimmed weight kept
-    among the first ``t`` sorted samples is a piecewise-linear function
-    ``W(t)``, so each block's selection probability is proportional to
-    ``W`` evaluated across the block's cumulative-count boundaries.
+    order, whose lengths are multinomial counts.  Each block's selection
+    probability is proportional to the kept mass ``W`` evaluated across
+    the block's cumulative-count boundaries.
     """
-    alpha = instance.alpha
-    s = n_samples if n_samples is not None else sample_size(alpha, epsilon)
-    explicit = instance.prior.explicit
-    ids = np.array(explicit.support, dtype=np.int64)
-    probs = np.array([explicit[int(i)] for i in ids], dtype=float)
-    probs = probs / probs.sum()
+    ids, probs = instance.prior.explicit.arrays()
     values = np.array([instance.value(int(i)) for i in ids], dtype=float)
     order = np.lexsort((ids, -values))
     ids, probs = ids[order], probs[order]
 
-    remove = alpha * s
-    k_zero = int(math.floor(remove))
-    frac_keep = 1.0 - (remove - k_zero)
-    n_ones = s - 1 - k_zero  # count of full-weight entries before the boundary
-
     counts = rng.multinomial(s, probs, size=m)
-    cum = np.cumsum(counts, axis=1).astype(float)
-    kept = np.minimum(cum, n_ones) + frac_keep * np.clip(cum - n_ones, 0.0, 1.0)
+    kept = _kept_mass(np.cumsum(counts, axis=1).astype(float), s, instance.alpha)
     total = kept[:, -1]  # == (1 - alpha) * s up to rounding
     u = rng.random(m) * total
     picked = (kept <= u[:, None]).sum(axis=1)

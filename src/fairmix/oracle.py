@@ -25,12 +25,14 @@ from typing import Any
 import numpy as np
 
 from .core import (
+    ALGORITHMS,
     NORM_TOL,
     Distribution,
     InterpolationInstance,
     ParameterError,
     ScaleError,
     ValueFunction,
+    check_alpha,
     expected_value,
     tv_distance,
 )
@@ -38,15 +40,6 @@ from .mix import epsilon_mix_many, sample_size, simple_mix_distribution, simple_
 
 #: Largest enumerable solution space the exact oracles will process.
 ORACLE_MAX_SOLUTIONS = 100_000
-
-ALGORITHMS = ("simple_mix", "epsilon_mix")
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return float(alpha)
-
 
 def _check_scale(n: int) -> None:
     if n > ORACLE_MAX_SOLUTIONS:
@@ -86,10 +79,10 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
 
     Removal order is value ascending with ties broken by id ascending, so
     the construction is fully deterministic.  The welfare-maximizing
-    solution is taken over the value function's domain when it has one
-    (ties to the smallest id), otherwise over the prior's support.
+    solution is taken over all ids of an array-backed value function (ties
+    to the smallest id), otherwise over the prior's support.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     support = prior.support
     _check_scale(len(support))
     if value.values is not None:
@@ -161,7 +154,7 @@ def smix_lower_bound(lam: float, alpha: float) -> float:
     """
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lam must lie in (0, 1], got {lam!r}")
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return min(lam, alpha * lam + (1.0 - alpha) ** 2)
 
 
@@ -306,8 +299,8 @@ def check_guarantees(
     decomp = build_p_opt(prior, instance.value, alpha)
     v_opt = v_p_opt(decomp, instance.value)
     welfare_bound = bound_factor * v_opt
-    if instance.value.domain is not None:
-        n_solutions = len(instance.value.domain)
+    if instance.value.values is not None:
+        n_solutions = instance.value.values.size
     else:
         n_solutions = len(prior) + 1
 
@@ -366,7 +359,7 @@ def check_individual_fairness(
     ``(1 - alpha)`` fraction of its expected prior utility.  ``candidate``
     defaults to the exact closed-form output lottery.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     p_s = candidate if candidate is not None else simple_mix_distribution(prior, a, alpha)
     for sid, p in prior.items():
         floor = (1.0 - alpha) * p
@@ -403,7 +396,7 @@ def grid_search_value(
     best value found.  Exact, but requires the prior's probabilities to be
     multiples of ``resolution`` and an array-backed value function.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if value.values is None:
         raise ParameterError("grid search requires an enumerable (array-backed) value function")
     units = round(1.0 / resolution)

@@ -176,20 +176,6 @@ class RandomReplaceSampler:
         return tuple(sorted(current))
 
 
-def random_replace_sample(
-    points: np.ndarray,
-    initial: Sequence[int],
-    q: int | None,
-    rng: np.random.Generator,
-) -> Panel:
-    """One draw from :class:`RandomReplaceSampler` (convenience wrapper).
-
-    ``q=None`` uses :func:`default_replace_count`.  For repeated sampling
-    construct the sampler once; it caches the neighbor lists.
-    """
-    return RandomReplaceSampler(points, initial, q=q).sample(rng)
-
-
 def sortition_fwi_instance(
     points: np.ndarray,
     n_k: int,

@@ -65,6 +65,30 @@ class TestSweepVerb:
         assert code == 0
         assert "rows=1" in stdout
 
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("rounds = abc\n")
+        code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "'rounds'" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_alpha_grid_is_usage_error(self, source, tmp_path, capsys, monkeypatch):
+        # Only an absent grid falls back to the default; an empty one is refused.
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "outdir"))
+        args = ["sweep", "--rounds", "1", "--batches", "1"]
+        if source == "flag":
+            args += ["--alpha-grid", ","]
+        else:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text("alpha_grid = ,\n")
+            args += ["--config", str(cfg)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "alpha_grid must be non-empty" in err
+        assert not (tmp_path / "outdir").exists()
+
     def test_epsilon_mismatch_is_usage_error(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--algorithm", "epsilon_mix", "--rounds", "1", "--batches", "1"],

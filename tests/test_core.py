@@ -12,7 +12,7 @@ from fairmix.core import (
     ParameterError,
     ValueFunction,
     WelfareMechanism,
-    canonical_key,
+    check_alpha,
     expected_value,
     is_alpha_fair,
     tv_distance,
@@ -29,6 +29,17 @@ class TestDistribution:
     def test_rejects_negative_probability(self):
         with pytest.raises(ParameterError):
             Distribution({0: 1.2, 1: -0.2})
+
+    def test_rejects_nan_probability(self):
+        # A NaN entry fails both "< 0" and "> 0"; it must not be dropped.
+        with pytest.raises(ParameterError, match="NaN"):
+            Distribution({0: 1.0, 1: float("nan")})
+
+    def test_arrays_are_sorted_and_renormalized(self):
+        ids, probs = Distribution({5: 0.75, 2: 0.25 + 1e-12}).arrays()
+        assert ids.tolist() == [2, 5]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert probs == pytest.approx([0.25, 0.75], abs=1e-11)
 
     def test_drops_exact_zeros(self):
         d = Distribution({0: 0.5, 1: 0.0, 2: 0.5})
@@ -138,6 +149,14 @@ class TestFairPrior:
         out = prior.sample_many(np.random.default_rng(0), 5)
         assert list(out) == [42] * 5
 
+    def test_sample_many_draws_explicit_lottery_vectorized(self):
+        def sampler(rng):  # pragma: no cover - the explicit lottery is used
+            raise AssertionError("an explicit prior is drawn in one call")
+
+        prior = FairPrior(sampler, explicit=Distribution({3: 0.5, 9: 0.5}))
+        out = prior.sample_many(np.random.default_rng(3), 50)
+        assert isinstance(out, np.ndarray) and set(out.tolist()) == {3, 9}
+
 
 class TestWelfareMechanism:
     def test_constant_returns_solution(self):
@@ -163,21 +182,8 @@ class TestInterpolationInstance:
             assert inst.alpha == alpha
 
 
-class TestCanonicalKey:
-    def test_int_sorts_as_itself(self):
-        assert canonical_key(5) == 5
-        assert canonical_key(np.int64(5)) == 5
 
-    def test_tuple_passes_through(self):
-        assert canonical_key((1, 2)) == (1, 2)
-
-    def test_object_with_sort_key(self):
-        class Sol:
-            def sort_key(self):
-                return (3, 1)
-
-        assert canonical_key(Sol()) == (3, 1)
-
-    def test_unorderable_rejected(self):
-        with pytest.raises(TypeError):
-            canonical_key(object())
+@pytest.mark.parametrize("alpha", [-0.01, 1.01, float("nan")])
+def test_check_alpha_rejects_outside_closed_range(alpha):
+    with pytest.raises(ParameterError, match=r"alpha must lie in \[0, 1\]"):
+        check_alpha(alpha)

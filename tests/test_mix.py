@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmix.core import (
     Distribution,
@@ -16,6 +21,7 @@ from fairmix.core import (
     tv_distance,
 )
 from fairmix.mix import (
+    _kept_mass,
     epsilon_mix,
     epsilon_mix_many,
     sample_size,
@@ -78,6 +84,15 @@ class TestTrimWeights:
             trim_weights(6, 1.0)
 
 
+@given(s=st.integers(1, 2000), alpha=st.floats(0.0, 1.0, exclude_max=True))
+def test_kept_mass_is_cumulative_trim_weight(s, alpha):
+    # W(t) is the one trim formula: the per-sample pick reads it at
+    # t = 1..s and the count path at cumulative counts.
+    kept = _kept_mass(np.arange(1, s + 1), s, alpha)
+    np.testing.assert_allclose(kept, np.cumsum(trim_weights(s, alpha)), rtol=0, atol=1e-9)
+    assert kept[-1] == pytest.approx((1.0 - alpha) * s, abs=1e-9)
+
+
 class TestEpsilonMix:
     def test_alpha_one_always_mechanism(self):
         inst = make_instance([1.0, 5.0], [0.9, 0.1], alpha=1.0)
@@ -98,14 +113,11 @@ class TestEpsilonMix:
     def test_sample_count_override_is_used(self):
         calls = []
 
-        def sampler(rng):  # pragma: no cover - replaced by sample_many
-            raise AssertionError("sample_many should be preferred")
+        def sampler(rng):
+            calls.append(1)
+            return 0
 
-        def sample_many(rng, n):
-            calls.append(n)
-            return np.zeros(n, dtype=np.int64)
-
-        prior = FairPrior(sampler, sample_many=sample_many)
+        prior = FairPrior(sampler)
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
             prior=prior,
@@ -113,7 +125,15 @@ class TestEpsilonMix:
             alpha=0.0,  # never take the mechanism branch
         )
         epsilon_mix(inst, 0.1, np.random.default_rng(6), n_samples=17)
-        assert calls == [17]
+        assert len(calls) == 17
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_bad_sample_count_rejected(self, n_samples):
+        inst = make_instance([1.0, 0.0], [0.5, 0.5], alpha=0.5)
+        with pytest.raises(ParameterError):
+            epsilon_mix_many(inst, 0.1, 5, np.random.default_rng(0), n_samples=n_samples)
+        with pytest.raises(ParameterError):
+            epsilon_mix(inst, 0.1, np.random.default_rng(0), n_samples=n_samples)
 
     def test_tail_trim_prefers_high_values(self):
         # With alpha=0.5, half the prior sample mass is trimmed from the
@@ -132,6 +152,21 @@ class TestEpsilonMix:
         outs = epsilon_mix_many(inst, 0.1, 4000, rng, n_samples=9)
         law = empirical_law(outs, 3)
         assert law[0] > law[1] + 0.1
+
+    def test_sampled_prior_ties_keep_draw_order(self):
+        # Every batch draws (0,), (2,), (1,); the last two tie on value.  At
+        # alpha = 0.7 and s = 3 only the first sorted sample keeps weight,
+        # so each tail returns the tied sample drawn first.
+        draws = itertools.cycle([(0,), (2,), (1,)])
+        values = {(0,): 0.0, (1,): 1.0, (2,): 1.0, "mechanism": 1.0}
+        inst = InterpolationInstance(
+            value=ValueFunction(values.__getitem__),
+            prior=FairPrior(lambda rng: next(draws)),
+            mechanism=WelfareMechanism.constant("mechanism"),
+            alpha=0.7,
+        )
+        outs = epsilon_mix_many(inst, 0.1, 200, np.random.default_rng(16), n_samples=3)
+        assert set(outs) == {"mechanism", (2,)}
 
     def test_empirical_fairness(self):
         rng = np.random.default_rng(9)
@@ -182,17 +217,19 @@ class TestSimpleMix:
 
 class TestBatchPathLawEquivalence:
     def test_count_path_matches_per_sample_path(self):
-        # The batched sampler aggregates prior draws into multinomial counts;
-        # its output law must match the literal per-sample algorithm.
+        # An explicit prior takes the multinomial count path; the same
+        # lottery behind a plain sampler takes the per-sample path.  Values
+        # are distinct, so both sort every batch the same way and their
+        # output laws must agree.
         inst = make_instance(
-            [3.0, 1.0, 1.0, 0.5, 2.0, 0.0],
+            [3.0, 1.0, 1.5, 0.5, 2.0, 0.0],
             [0.15, 0.2, 0.2, 0.15, 0.1, 0.2],
             alpha=0.35,
         )
-        n = 30000
-        fast = epsilon_mix_many(inst, 0.25, n, np.random.default_rng(13))
-        slow_rng = np.random.default_rng(14)
-        slow = [epsilon_mix(inst, 0.25, slow_rng) for _ in range(n)]
+        sampled = dataclasses.replace(inst, prior=FairPrior(inst.prior.sample))
+        n = 20000
+        fast = epsilon_mix_many(inst, 0.25, n, np.random.default_rng(13), n_samples=12)
+        slow = epsilon_mix_many(sampled, 0.25, n, np.random.default_rng(14), n_samples=12)
         law_fast = empirical_law(fast, 6)
         law_slow = empirical_law(slow, 6)
         # Each empirical law is within ~sqrt(6/n) of the common true law.

@@ -17,7 +17,6 @@ from fairmix.sortition import (
     kmeanspp_select,
     likelihood_value,
     panel_cost,
-    random_replace_sample,
     sortition_fwi_instance,
 )
 
@@ -157,18 +156,18 @@ class TestRandomReplace:
         rng = np.random.default_rng(58)
         points = rng.random((10, 2))
         initial = (1, 4, 7)
-        assert random_replace_sample(points, initial, 0, rng) == initial
+        assert RandomReplaceSampler(points, initial, q=0).sample(rng) == initial
 
     def test_q_above_panel_size_rejected(self):
         points = np.random.default_rng(59).random((10, 2))
         with pytest.raises(ParameterError):
-            random_replace_sample(points, (0, 1, 2), 4, np.random.default_rng(0))
+            RandomReplaceSampler(points, (0, 1, 2), q=4)
 
     def test_full_panel_swaps_collide_to_identity(self):
         # Panel = whole pool: every candidate is seated, so members stay.
         points = np.random.default_rng(60).random((5, 2))
         initial = tuple(range(5))
-        out = random_replace_sample(points, initial, 3, np.random.default_rng(61))
+        out = RandomReplaceSampler(points, initial, q=3).sample(np.random.default_rng(61))
         assert out == initial
 
 
