@@ -83,9 +83,7 @@ class ExperimentConfig:
     # scenario shape knobs (defaults mirror the bundled experiment setups)
     n_left: int = 100
     n_right: int = 5
-    demand: int = 3
     panel_size: int = 10
-    replace_count: int | None = None
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -178,7 +176,7 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
     elif config.scenario == "bids":
         path = config.input_path or bundled_data_path("mini_bids.csv")
         corpus = parse_bids(path)
-        inst = bids_to_instance(corpus, demand=config.demand)
+        inst = bids_to_instance(corpus, demand=3)
         # Greedy selection on a two-sided constraint system keeps at least
         # half the optimal weight, hence the declared factor 1/2.
         best = greedy_matching(inst)
@@ -207,11 +205,7 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
 
         def make_sortition(alpha: float) -> InterpolationInstance:
             return sortition_fwi_instance(
-                points,
-                config.panel_size,
-                alpha,
-                _scenario_rng(config.seed),
-                q=config.replace_count,
+                points, config.panel_size, alpha, _scenario_rng(config.seed)
             )
 
         return ScenarioBundle(name="sortition", make_instance=make_sortition, info=info)

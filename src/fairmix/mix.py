@@ -167,6 +167,8 @@ def _mix_many(
 
     ``draw_tails(m)`` returns the ``m`` tail outputs in run order.
     """
+    if n < 0:
+        raise ParameterError(f"run count n must be >= 0, got {n!r}")
     heads = rng.random(n) < instance.alpha
     m = int(n - heads.sum())
     tails = iter(draw_tails(m) if m > 0 else ())

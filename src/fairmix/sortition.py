@@ -181,22 +181,20 @@ def sortition_fwi_instance(
     n_k: int,
     alpha: float,
     init_rng: np.random.Generator,
-    q: int | None = None,
-    lam: float = 1.0,
 ) -> InterpolationInstance:
     """Wire the panel-selection problem into an interpolation instance.
 
     The welfare mechanism is :func:`kmeanspp_select` (randomized per call;
-    ``lam`` is a configured constant describing how close to optimal it is
-    assumed to run, used only by bound reporting).  The fair prior
-    perturbs a fixed reference panel drawn once from ``init_rng`` with
-    k-means++, via :class:`RandomReplaceSampler`.  The value function is
+    its declared factor ``lam = 1.0`` is an assumption used only by bound
+    reporting).  The fair prior perturbs a fixed reference panel drawn once
+    from ``init_rng`` with k-means++, via :class:`RandomReplaceSampler` at
+    its default replace count.  The value function is
     :func:`likelihood_value`.
     """
     pts = _check_points(points)
     initial = kmeanspp_select(pts, n_k, init_rng)
-    sampler = RandomReplaceSampler(pts, initial, q=q)
-    mechanism = WelfareMechanism(lambda rng: kmeanspp_select(pts, n_k, rng), lam=lam)
+    sampler = RandomReplaceSampler(pts, initial)
+    mechanism = WelfareMechanism(lambda rng: kmeanspp_select(pts, n_k, rng), lam=1.0)
     return InterpolationInstance(
         value=likelihood_value(pts),
         prior=FairPrior(sampler.sample),

@@ -6,8 +6,11 @@ without global state.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+import fairmix
 from fairmix.core import (
     Distribution,
     FairPrior,
@@ -15,6 +18,19 @@ from fairmix.core import (
     ValueFunction,
     WelfareMechanism,
 )
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child Python that must import the fairmix under test.
+
+    The child may run in another directory, where a relative PYTHONPATH
+    entry no longer resolves, so the directory holding the imported fairmix
+    goes first.  ``FAIRMIX_OUT_DIR`` is dropped so outputs land where asked.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "FAIRMIX_OUT_DIR"}
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fairmix.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_instance(

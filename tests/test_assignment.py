@@ -163,6 +163,42 @@ class TestMatchings:
         with pytest.raises(ScaleError):
             max_matching(inst)
 
+    def test_max_matches_brute_force_on_ties(self):
+        # Weights from {0, 0.5, 1} make degenerate programs with many optima.
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 60:
+            n_left = int(rng.integers(2, 5))
+            n_right = int(rng.integers(1, 4))
+            demand = int(rng.integers(1, min(n_left, 3) + 1))
+            cap = int(rng.integers(1, 4))
+            if demand * n_right > cap * n_left:
+                continue
+            weights = rng.choice([0.0, 0.5, 1.0], size=(n_left, n_right))
+            inst = BipartiteInstance(weights, demand, cap)
+            got = solution_value(inst, max_matching(inst))
+            assert got == pytest.approx(brute_force_max(inst), abs=1e-9)
+            checked += 1
+
+    def test_max_matching_resolves_near_tie(self):
+        # The anti-diagonal wins by 3e-9, a gap HiGHS's default tolerances miss.
+        s, gap = 0.7, 3e-9
+        inst = BipartiteInstance(np.array([[s, s + gap], [s + gap, s]]))
+        assert max_matching(inst).edges == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize(
+        "status, x", [(0, [0.5, 0.5, 0.5, 0.5]), (2, None)], ids=["fractional", "infeasible"]
+    )
+    def test_max_matching_rejects_bad_lp_result(self, monkeypatch, status, x):
+        import scipy.optimize
+
+        result = scipy.optimize.OptimizeResult(
+            status=status, x=None if x is None else np.array(x), message="solver says no"
+        )
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: result)
+        with pytest.raises(InfeasibleError, match="solver says no"):
+            max_matching(BipartiteInstance(np.ones((2, 2))))
+
 
 class TestRoundRobin:
     def test_samples_are_feasible(self):

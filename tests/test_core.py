@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmix.core import (
     Distribution,
@@ -66,6 +68,34 @@ class TestDistribution:
     def test_items_iterates_support(self):
         d = Distribution({2: 0.5, 0: 0.5})
         assert list(d.items()) == [(0, 0.5), (2, 0.5)]
+
+
+_WEIGHTS = st.dictionaries(
+    st.integers(-1000, 1000), st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1
+).filter(lambda w: sum(w.values()) > 0.0)
+
+
+@given(weights=_WEIGHTS)
+def test_distribution_accepts_any_normalized_vector(weights):
+    total = sum(weights.values())
+    d = Distribution({sid: w / total for sid, w in weights.items()})
+    assert d.support == tuple(sorted(sid for sid, w in weights.items() if w > 0.0))
+    ids, probs = d.arrays()
+    assert ids.tolist() == list(d.support)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    weights=_WEIGHTS,
+    bad=st.one_of(st.just(float("nan")), st.floats(max_value=0.0, exclude_max=True)),
+    bad_id=st.integers(-1000, 1000),
+)
+def test_distribution_rejects_nan_or_negative_entry(weights, bad, bad_id):
+    total = sum(weights.values())
+    entries = {sid: w / total for sid, w in weights.items()}
+    entries[bad_id] = bad
+    with pytest.raises(ParameterError, match="NaN|negative"):
+        Distribution(entries)
 
 
 class TestTvDistance:

@@ -215,6 +215,21 @@ class TestSimpleMix:
         assert tv_distance(law, target) < 0.02
 
 
+@pytest.mark.parametrize(
+    "run_many",
+    [
+        lambda inst, n, rng: simple_mix_many(inst, n, rng),
+        lambda inst, n, rng: epsilon_mix_many(inst, 0.1, n, rng),
+    ],
+    ids=["simple_mix_many", "epsilon_mix_many"],
+)
+def test_run_count_validated(run_many):
+    inst = make_instance([1.0, 0.0], [0.5, 0.5], alpha=0.5)
+    with pytest.raises(ParameterError, match="run count n"):
+        run_many(inst, -2, np.random.default_rng(0))
+    assert run_many(inst, 0, np.random.default_rng(0)) == []
+
+
 class TestBatchPathLawEquivalence:
     def test_count_path_matches_per_sample_path(self):
         # An explicit prior takes the multinomial count path; the same
