@@ -28,10 +28,11 @@ def main() -> None:
         print(f"{row.alpha:5.2f}  {row.mean_score:10.3f}  {row.std_of_batch_means:10.3f}")
     print("\nhigher budgets spend more probability on the max-weight matching")
 
-    out = Path(tempfile.mkdtemp()) / "sweep.csv"
-    emit_csv(result, str(out))
-    print(f"\nCSV written to {out}:")
-    print(out.read_text(), end="")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        emit_csv(result, str(out))
+        print(f"\nCSV written to {out}:")
+        print(out.read_text(), end="")
 
     rerun = run_sweep(config)
     same = all(a.batch_means == b.batch_means for a, b in zip(result.rows, rerun.rows))

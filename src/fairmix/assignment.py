@@ -16,7 +16,7 @@ order each pass, each picking their favorite item with remaining demand.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -109,6 +109,24 @@ class AssignmentSolution:
             raise InfeasibleError("an item does not meet its demand exactly")
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class AssignmentBatch:
+    """``n`` assignments with ``m`` edges each, as parallel int arrays.
+
+    Row ``i`` holds the edges ``(agents[i, k], items[i, k])``; indexing
+    materializes that row as an :class:`AssignmentSolution`.
+    """
+
+    agents: np.ndarray
+    items: np.ndarray
+
+    def __len__(self) -> int:
+        return self.agents.shape[0]
+
+    def __getitem__(self, i: int) -> AssignmentSolution:
+        return AssignmentSolution.from_edges(zip(self.agents[i], self.items[i]))
+
+
 def solution_value(instance: BipartiteInstance, solution: AssignmentSolution) -> float:
     """Utilitarian value: total weight of the assignment's edges."""
     w = instance.weights
@@ -139,9 +157,24 @@ def nash_welfare(utils: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(utils))))
 
 
+class _EdgeSumValue(ValueFunction):
+    """Total edge weight, summed over a whole :class:`AssignmentBatch` at once."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, instance: BipartiteInstance):
+        super().__init__(lambda sol: solution_value(instance, sol))
+        self.weights = instance.weights
+
+    def many(self, solutions: Sequence[Any]) -> np.ndarray:
+        if isinstance(solutions, AssignmentBatch):
+            return self.weights[solutions.agents, solutions.items].sum(axis=1)
+        return super().many(solutions)
+
+
 def utilitarian_value(instance: BipartiteInstance) -> ValueFunction:
     """Value function mapping an assignment to its total edge weight."""
-    return ValueFunction(lambda sol: solution_value(instance, sol))
+    return _EdgeSumValue(instance)
 
 
 def nash_value(utilities: np.ndarray) -> ValueFunction:
@@ -246,17 +279,24 @@ class RoundRobinSampler:
     turn takes its favorite item (highest affinity, ties to the lowest
     item index) that still has remaining demand and that the agent does
     not already hold.  Passes repeat until all demand is met.
+
+    With unit demand and cap this is random serial dictatorship: one pass
+    suffices and only the first ``n_right`` agents of the order receive an
+    item.  :meth:`sample_many` then draws a whole batch in a few numpy
+    steps and returns an :class:`AssignmentBatch`; otherwise it repeats
+    :meth:`sample`.
     """
 
     def __init__(self, instance: BipartiteInstance):
         self.instance = instance
+        self.unit = instance.demand == 1 and instance.load_cap == 1
         # Row a lists items by agent a's affinity descending, index ascending.
         self.pref = np.argsort(-instance.weights, axis=1, kind="stable")
 
     def sample(self, rng: np.random.Generator) -> AssignmentSolution:
+        if self.unit:
+            return self.sample_many(rng, 1)[0]
         inst = self.instance
-        if inst.demand == 1 and inst.load_cap == 1:
-            return self._sample_unit(rng)
         L, R = inst.n_left, inst.n_right
         remaining = np.full(R, inst.demand, dtype=int)
         load = np.zeros(L, dtype=int)
@@ -282,19 +322,48 @@ class RoundRobinSampler:
                 raise InfeasibleError("round robin deadlocked before meeting demand")
         return AssignmentSolution.from_edges(edges)
 
-    def _sample_unit(self, rng: np.random.Generator) -> AssignmentSolution:
-        # Unit demand and cap: a single pass suffices, and only the first
-        # n_right agents in the random order ever receive an item.
-        inst = self.instance
-        taken = np.zeros(inst.n_right, dtype=bool)
-        edges: list[tuple[int, int]] = []
-        for a in rng.permutation(inst.n_left):
-            for j in self.pref[a]:
-                if not taken[j]:
-                    taken[j] = True
-                    edges.append((int(a), int(j)))
-                    break
-            if len(edges) == inst.n_right:
-                break
-        return AssignmentSolution.from_edges(edges)
+    def sample_many(
+        self, rng: np.random.Generator, n: int
+    ) -> AssignmentBatch | list[AssignmentSolution]:
+        """``n`` independent draws: one :class:`AssignmentBatch` in the unit
+        case, else a list of :meth:`sample` results."""
+        if not self.unit:
+            return [self.sample(rng) for _ in range(n)]
+        agents = ordered_subsets(rng, self.instance.n_left, self.instance.n_right, n)
+        return AssignmentBatch(agents, serial_dictatorship_picks(self.instance.weights, agents))
 
+
+def ordered_subsets(rng: np.random.Generator, L: int, R: int, n: int) -> np.ndarray:
+    """``n`` rows of ``R`` distinct ints from ``range(L)``, each row uniform
+    over the ``L! / (L - R)!`` ordered tuples.
+
+    Column ``t`` draws its rank among the ``L - t`` values not yet in the
+    row, then shifts the rank past the row's earlier values in ascending
+    order, which maps it onto the rank-th free value.
+    """
+    out = np.empty((n, R), dtype=np.intp)
+    for t in range(R):
+        r = rng.integers(0, L - t, n)
+        for earlier in np.sort(out[:, :t], axis=1).T:
+            r += r >= earlier
+        out[:, t] = r
+    return out
+
+
+def serial_dictatorship_picks(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """Items taken when the agents of each row pick in turn, one item each.
+
+    ``agents`` has shape ``(n, m)`` with ``m <= weights.shape[1]``; each
+    agent takes its highest-weight free item, ties to the lowest item
+    index (``argmax`` returns the first maximum).  Weights are
+    non-negative, so ``-1`` masks taken items.
+    """
+    n, m = agents.shape
+    rows = np.arange(n)
+    taken = np.zeros((n, weights.shape[1]), dtype=bool)
+    items = np.empty_like(agents)
+    for t in range(m):
+        pick = np.where(taken, -1.0, weights[agents[:, t]]).argmax(axis=1)
+        taken[rows, pick] = True
+        items[:, t] = pick
+    return items

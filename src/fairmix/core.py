@@ -7,8 +7,8 @@ frozen dataclasses).  The mixing algorithms only ever compare solutions by
 value, so solutions need no ordering of their own.
 
 A :class:`Distribution` is a sparse lottery over integer solution ids.  A
-:class:`FairPrior` wraps sampling access to the lottery produced by some
-baseline "fair" mechanism; an explicit :class:`Distribution` is optional and
+:class:`FairPrior` wraps batch sampling access to the lottery produced by
+some baseline "fair" mechanism; an explicit :class:`Distribution` is optional and
 only required by the exact oracles.  A :class:`WelfareMechanism` wraps the
 competing high-welfare mechanism together with its multiplicative welfare
 guarantee ``lam``.  An :class:`InterpolationInstance` bundles all of the
@@ -180,6 +180,14 @@ class ValueFunction:
             raise ParameterError(f"value of {solution!r} is {v!r}, must be >= 0")
         return v
 
+    def many(self, solutions: Sequence[Any]) -> np.ndarray:
+        """Values of a batch of solutions, as a float vector.
+
+        Calls the value once per solution; scenarios whose prior draws a
+        compact batch override this with a vectorized evaluation.
+        """
+        return np.array([self(x) for x in solutions], dtype=float)
+
     def argmax(self) -> int:
         """Id of the highest-valued solution; ties go to the smallest id."""
         if self.values is None:
@@ -206,36 +214,45 @@ def expected_value(dist: Distribution, value: ValueFunction | Callable[[int], fl
 class FairPrior:
     """Sampling access to the output lottery of a baseline fair mechanism.
 
-    Only sampling is required in general; the exact oracles additionally
-    need the lottery itself, supplied as ``explicit``, and ``sampler`` must
-    then draw from it.  :meth:`sample_many` draws an ``explicit`` lottery in
-    one vectorized call and otherwise repeats single draws.
+    The one primitive is a batch draw: ``draw(rng, n)`` returns a sequence
+    of ``n`` independent solutions.  A scenario may return a compact batch
+    (for instance :class:`~fairmix.assignment.AssignmentBatch`) whose
+    items are materialized only when indexed; :meth:`ValueFunction.many`
+    values such a batch without materializing it.  :meth:`sample_many` is
+    the batch draw and :meth:`sample` its first element, so one code path
+    serves both.  :meth:`from_sampler` adapts a scalar sampler by looping.
+
+    The exact oracles additionally need the lottery itself, supplied as
+    ``explicit``; ``draw`` must then draw from it, as
+    :meth:`from_distribution` does with one vectorized ``rng.choice``.
     """
 
-    __slots__ = ("_sample", "explicit")
+    __slots__ = ("_draw", "explicit")
 
     def __init__(
         self,
-        sampler: Callable[[np.random.Generator], Any],
+        draw: Callable[[np.random.Generator, int], Sequence[Any]],
         explicit: Distribution | None = None,
     ):
-        self._sample = sampler
+        self._draw = draw
         self.explicit = explicit
+
+    @classmethod
+    def from_sampler(cls, sampler: Callable[[np.random.Generator], Any]) -> "FairPrior":
+        """Prior from a scalar sampler; a batch calls it once per draw."""
+        return cls(lambda rng, n: [sampler(rng) for _ in range(n)])
 
     @classmethod
     def from_distribution(cls, dist: Distribution) -> "FairPrior":
         """Prior with both sampling access and the explicit lottery."""
         ids, probs = dist.arrays()
-        return cls(lambda rng: int(ids[rng.choice(probs.size, p=probs)]), explicit=dist)
+        return cls(lambda rng, n: ids[rng.choice(probs.size, size=n, p=probs)], explicit=dist)
 
     def sample(self, rng: np.random.Generator) -> Any:
-        return self._sample(rng)
+        return self._draw(rng, 1)[0]
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> list[Any] | np.ndarray:
-        if self.explicit is None:
-            return [self._sample(rng) for _ in range(n)]
-        ids, probs = self.explicit.arrays()
-        return ids[rng.choice(probs.size, size=n, p=probs)]
+    def sample_many(self, rng: np.random.Generator, n: int) -> Sequence[Any]:
+        return self._draw(rng, n)
 
 
 class WelfareMechanism:

@@ -210,7 +210,7 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
 
         return ScenarioBundle(name="sortition", make_instance=make_sortition, info=info)
 
-    prior = FairPrior(sampler.sample)
+    prior = FairPrior(sampler.sample_many)
 
     def make(alpha: float) -> InterpolationInstance:
         return InterpolationInstance(value=value, prior=prior, mechanism=mechanism, alpha=alpha)

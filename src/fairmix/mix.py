@@ -223,14 +223,16 @@ def _tails_by_samples(
 ) -> list[Any]:
     """Tail outcomes for ``m`` runs, each from its own batch of ``s`` draws.
 
-    The batch is sorted by value descending; equal values keep draw order.
+    Each batch is one ``prior.sample_many`` call valued by one
+    ``value.many`` call, so a compact batch is never materialized except
+    at the picked position.  The batch is sorted by value descending;
+    equal values keep draw order.
     """
     kept = _kept_mass(np.arange(1, s + 1), s, instance.alpha)
     out = []
     for _ in range(m):
         samples = instance.prior.sample_many(rng, s)
-        values = np.array([instance.value(x) for x in samples], dtype=float)
-        order = np.argsort(-values, kind="stable")
+        order = np.argsort(-instance.value.many(samples), kind="stable")
         picked = int(np.searchsorted(kept, rng.random() * kept[-1], side="right"))
         out.append(samples[int(order[picked])])
     return out

@@ -103,7 +103,7 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
         take = min(residual[sid], to_remove)
         residual[sid] -= take
         to_remove -= take
-        if residual[sid] <= NORM_TOL:
+        if residual[sid] <= 0.0:
             del residual[sid]
 
     p_opt_entries = dict(residual)
@@ -116,7 +116,7 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
     p_alpha_tilde = None
     if alpha > 0.0:
         removed = {k: prior[k] - residual.get(k, 0.0) for k in support}
-        p_alpha_tilde = Distribution({k: v / alpha for k, v in removed.items() if v > NORM_TOL})
+        p_alpha_tilde = Distribution({k: v / alpha for k, v in removed.items() if v > 0.0})
 
     return OptDecomposition(
         alpha=alpha,

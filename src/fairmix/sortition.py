@@ -197,7 +197,7 @@ def sortition_fwi_instance(
     mechanism = WelfareMechanism(lambda rng: kmeanspp_select(pts, n_k, rng), lam=1.0)
     return InterpolationInstance(
         value=likelihood_value(pts),
-        prior=FairPrior(sampler.sample),
+        prior=FairPrior.from_sampler(sampler.sample),
         mechanism=mechanism,
         alpha=alpha,
     )

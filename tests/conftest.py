@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 import fairmix
+from fairmix.assignment import AssignmentSolution, BipartiteInstance
 from fairmix.core import (
     Distribution,
     FairPrior,
@@ -92,3 +93,31 @@ def random_instance(
         positive = [i for i, v in enumerate(values) if v > 0]
         a = int(rng.choice(positive))
     return make_instance(values, probs, alpha, a=a)
+
+
+def unit_round_robin_reference(instance: BipartiteInstance, order) -> AssignmentSolution:
+    """Unit-demand, unit-cap round robin with agents picking in ``order``.
+
+    The scalar loop that the vectorized sampler replaced, kept as its law
+    reference: each agent takes its favourite free item (ties to the
+    lowest item index) until every item is taken.
+    """
+    pref = np.argsort(-instance.weights, axis=1, kind="stable")
+    taken = np.zeros(instance.n_right, dtype=bool)
+    edges: list[tuple[int, int]] = []
+    for a in order:
+        for j in pref[a]:
+            if not taken[j]:
+                taken[j] = True
+                edges.append((int(a), int(j)))
+                break
+        if len(edges) == instance.n_right:
+            break
+    return AssignmentSolution.from_edges(edges)
+
+
+def unit_round_robin_reference_prior(instance: BipartiteInstance) -> FairPrior:
+    """The reference loop behind a prior: one uniform agent order per draw."""
+    return FairPrior.from_sampler(
+        lambda rng: unit_round_robin_reference(instance, rng.permutation(instance.n_left))
+    )

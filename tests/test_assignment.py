@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairmix.assignment import (
+    AssignmentBatch,
     AssignmentSolution,
     BipartiteInstance,
     InfeasibleError,
@@ -17,11 +18,15 @@ from fairmix.assignment import (
     max_matching,
     nash_value,
     nash_welfare,
+    ordered_subsets,
+    serial_dictatorship_picks,
     solution_value,
     synthetic_instance,
     utilitarian_value,
 )
 from fairmix.core import Distribution, ParameterError, ScaleError, tv_distance
+
+from conftest import unit_round_robin_reference
 
 
 def brute_force_max(instance: BipartiteInstance) -> float:
@@ -256,3 +261,67 @@ class TestRoundRobin:
                 hits[agent] += 1
         # Each agent receives one of 2 slots among 4 agents: marginal 1/2.
         assert np.allclose(hits / n, 0.5, atol=0.03)
+
+
+class TestUnitBatchSampler:
+    """The vectorized unit round robin against the scalar reference loop."""
+
+    def test_picks_match_reference_on_every_order(self):
+        # Tie-heavy weights: argmax must break ties to the lowest item index
+        # exactly as the reference's stable preference order does.
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            inst = BipartiteInstance(rng.choice([0.0, 0.5, 1.0], size=(5, 3)))
+            orders = np.array(list(itertools.permutations(range(5))))
+            agents = orders[:, : inst.n_right]
+            items = serial_dictatorship_picks(inst.weights, agents)
+            for order, row_agents, row_items in zip(orders, agents, items):
+                want = unit_round_robin_reference(inst, order).edges
+                assert set(zip(row_agents.tolist(), row_items.tolist())) == want
+
+    def test_ordered_agents_are_uniform(self):
+        # The first n_right agents of each draw are uniform over all
+        # L! / (L - R)! ordered tuples (60 here).
+        inst = BipartiteInstance(np.random.default_rng(47).random((5, 3)))
+        n = 60_000
+        batch = RoundRobinSampler(inst).sample_many(np.random.default_rng(48), n)
+        assert isinstance(batch, AssignmentBatch) and len(batch) == n
+        tuples = list(itertools.permutations(range(5), 3))
+        index = {t: i for i, t in enumerate(tuples)}  # a repeated agent raises KeyError
+        counts = np.bincount([index[tuple(row)] for row in batch.agents.tolist()],
+                             minlength=len(tuples))
+        # E[TV] ~ sqrt(60 / (2 pi n)) ~ 0.013 for a uniform law.
+        assert 0.5 * np.abs(counts / n - 1 / len(tuples)).sum() < 0.03
+
+    def test_ordered_subsets_are_distinct_and_in_range(self):
+        rows = ordered_subsets(np.random.default_rng(49), 7, 7, 500)
+        assert np.array_equal(np.sort(rows, axis=1), np.tile(np.arange(7), (500, 1)))
+
+    def test_batch_values_equal_solution_value(self):
+        rng = np.random.default_rng(50)
+        inst = synthetic_instance(30, 6, rng)
+        batch = RoundRobinSampler(inst).sample_many(rng, 400)
+        values = utilitarian_value(inst).many(batch)
+        assert values.shape == (400,)
+        for i in range(len(batch)):
+            solution = batch[i]
+            solution.validate(inst)
+            assert abs(values[i] - solution_value(inst, solution)) <= 1e-12
+
+    def test_scalar_sample_is_first_of_a_batch(self):
+        inst = synthetic_instance(8, 3, np.random.default_rng(51))
+        sampler = RoundRobinSampler(inst)
+        one = sampler.sample(np.random.default_rng(52))
+        assert isinstance(one, AssignmentSolution)
+        assert one == sampler.sample_many(np.random.default_rng(52), 1)[0]
+
+    def test_general_case_keeps_scalar_loop(self):
+        rng = np.random.default_rng(53)
+        inst = BipartiteInstance(rng.random((5, 3)), demand=2, load_cap=2)
+        sampler = RoundRobinSampler(inst)
+        draws = sampler.sample_many(np.random.default_rng(54), 6)
+        assert isinstance(draws, list)
+        again = np.random.default_rng(54)
+        assert draws == [sampler.sample(again) for _ in range(6)]
+        values = utilitarian_value(inst).many(draws)
+        assert values.tolist() == [solution_value(inst, d) for d in draws]

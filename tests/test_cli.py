@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 import fairmix.cli as cli
 from fairmix.oracle import GuaranteeReport
+
+from conftest import subprocess_env
 
 
 SWEEP_ARGS = [
@@ -276,3 +280,19 @@ class TestExitCodes:
 
     def test_bad_alpha_grid_is_usage(self, capsys):
         assert run_cli(["sweep", "--alpha-grid", "x,y"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("module", ["fairmix", "fairmix.cli"])
+def test_runs_as_module(module, tmp_path):
+    # ``python -m`` must behave like the ``fairmix`` entry point: a bad
+    # scenario is a usage error with exit code 1.
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "sweep", "--scenario", "nope"],
+        cwd=tmp_path,
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "invalid choice: 'nope'" in proc.stderr

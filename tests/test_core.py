@@ -175,17 +175,51 @@ class TestFairPrior:
         assert all(prior.sample(rng) in (3, 9) for _ in range(20))
 
     def test_sample_many_falls_back_to_loop(self):
-        prior = FairPrior(sampler=lambda rng: 42)
+        prior = FairPrior.from_sampler(lambda rng: 42)
         out = prior.sample_many(np.random.default_rng(0), 5)
         assert list(out) == [42] * 5
 
     def test_sample_many_draws_explicit_lottery_vectorized(self):
-        def sampler(rng):  # pragma: no cover - the explicit lottery is used
-            raise AssertionError("an explicit prior is drawn in one call")
-
-        prior = FairPrior(sampler, explicit=Distribution({3: 0.5, 9: 0.5}))
+        dist = Distribution({3: 0.5, 9: 0.5})
+        ids, probs = dist.arrays()
+        prior = FairPrior.from_distribution(dist)
         out = prior.sample_many(np.random.default_rng(3), 50)
         assert isinstance(out, np.ndarray) and set(out.tolist()) == {3, 9}
+        want = ids[np.random.default_rng(3).choice(probs.size, size=50, p=probs)]
+        assert np.array_equal(out, want)  # one vectorized rng.choice
+
+    def test_batch_draw_is_the_primitive(self):
+        batches = []
+
+        def draw(rng, n):
+            batches.append(n)
+            return list(range(n))
+
+        prior = FairPrior(draw)
+        assert prior.sample_many(np.random.default_rng(0), 4) == [0, 1, 2, 3]
+        assert prior.sample(np.random.default_rng(0)) == 0
+        assert batches == [4, 1]
+
+    def test_explicit_sample_stream_unchanged(self):
+        # One explicit draw consumes the generator as one scalar rng.choice.
+        dist = Distribution({2: 0.1, 5: 0.6, 7: 0.3})
+        ids, probs = dist.arrays()
+        prior = FairPrior.from_distribution(dist)
+        got, want = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(200):
+            assert prior.sample(got) == ids[want.choice(probs.size, p=probs)]
+        assert got.random() == want.random()
+
+
+class TestValueFunctionMany:
+    def test_default_loops_over_call(self):
+        value = ValueFunction.from_array([1.0, 2.5, 4.0])
+        out = value.many([2, 0, 2])
+        assert isinstance(out, np.ndarray) and out.tolist() == [4.0, 1.0, 4.0]
+
+    def test_default_keeps_nonnegative_check(self):
+        with pytest.raises(ParameterError):
+            ValueFunction(lambda s: -1.0).many([0])
 
 
 class TestWelfareMechanism:

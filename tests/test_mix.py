@@ -10,6 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairmix.assignment import (
+    RoundRobinSampler,
+    max_matching,
+    synthetic_instance,
+    utilitarian_value,
+)
 from fairmix.core import (
     Distribution,
     FairPrior,
@@ -31,7 +37,7 @@ from fairmix.mix import (
     trim_weights,
 )
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, unit_round_robin_reference_prior
 
 
 def empirical_law(outputs, n_solutions: int) -> Distribution:
@@ -117,7 +123,7 @@ class TestEpsilonMix:
             calls.append(1)
             return 0
 
-        prior = FairPrior(sampler)
+        prior = FairPrior.from_sampler(sampler)
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
             prior=prior,
@@ -161,7 +167,7 @@ class TestEpsilonMix:
         values = {(0,): 0.0, (1,): 1.0, (2,): 1.0, "mechanism": 1.0}
         inst = InterpolationInstance(
             value=ValueFunction(values.__getitem__),
-            prior=FairPrior(lambda rng: next(draws)),
+            prior=FairPrior.from_sampler(lambda rng: next(draws)),
             mechanism=WelfareMechanism.constant("mechanism"),
             alpha=0.7,
         )
@@ -241,7 +247,7 @@ class TestBatchPathLawEquivalence:
             [0.15, 0.2, 0.2, 0.15, 0.1, 0.2],
             alpha=0.35,
         )
-        sampled = dataclasses.replace(inst, prior=FairPrior(inst.prior.sample))
+        sampled = dataclasses.replace(inst, prior=FairPrior.from_sampler(inst.prior.sample))
         n = 20000
         fast = epsilon_mix_many(inst, 0.25, n, np.random.default_rng(13), n_samples=12)
         slow = epsilon_mix_many(sampled, 0.25, n, np.random.default_rng(14), n_samples=12)
@@ -257,7 +263,7 @@ class TestBatchPathLawEquivalence:
             seen.append(1)
             return int(rng.integers(2))
 
-        prior = FairPrior(sampler)
+        prior = FairPrior.from_sampler(sampler)
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
             prior=prior,
@@ -267,3 +273,28 @@ class TestBatchPathLawEquivalence:
         outs = epsilon_mix_many(inst, 0.3, 5, np.random.default_rng(15), n_samples=4)
         assert len(outs) == 5
         assert len(seen) == 20  # 5 runs x 4 samples, no fast path available
+
+    def test_batch_round_robin_matches_reference_tail_mean(self):
+        # The vectorized unit round robin and the scalar reference loop give
+        # epsilon_mix the same prior, so the mean value of the tail outputs
+        # must agree.  Heads return the mechanism's one solution object,
+        # which no tail returns.
+        goods = synthetic_instance(8, 3, np.random.default_rng(17))
+        best = max_matching(goods)
+        means, variances = [], []
+        for prior, seed in (
+            (FairPrior(RoundRobinSampler(goods).sample_many), 18),
+            (unit_round_robin_reference_prior(goods), 19),
+        ):
+            inst = InterpolationInstance(
+                value=utilitarian_value(goods),
+                prior=prior,
+                mechanism=WelfareMechanism.constant(best),
+                alpha=0.5,
+            )
+            outs = epsilon_mix_many(inst, 0.1, 3000, np.random.default_rng(seed), n_samples=20)
+            tails = np.array([inst.value(x) for x in outs if x is not best])
+            assert tails.size > 1000
+            means.append(tails.mean())
+            variances.append(tails.var(ddof=1) / tails.size)
+        assert abs(means[0] - means[1]) <= 5.0 * np.sqrt(sum(variances))

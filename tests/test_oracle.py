@@ -98,6 +98,27 @@ class TestBuildPOpt:
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_tiny_masses_are_kept(self, alpha):
+        # 20 solutions of mass 5e-10, each below NORM_TOL, valued lowest:
+        # removing them whole must not drop their mass from the removed part.
+        prior = Distribution({**{i: 5e-10 for i in range(20)}, 20: 1.0 - 20 * 5e-10})
+        value = ValueFunction.from_array([0.0] * 20 + [1.0])
+        dec = build_p_opt(prior, value, alpha)
+        assert dec.p_alpha_tilde is not None
+        assert sum(dec.p_alpha_tilde.as_dict().values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(dec.p_alpha_tilde[i] == pytest.approx(5e-10 / alpha, rel=1e-9)
+                   for i in range(20))
+        assert is_alpha_fair(dec.p_opt, prior, alpha)
+
+    def test_large_dirichlet_prior(self):
+        rng = np.random.default_rng(24)
+        n = 100_000
+        prior = Distribution.from_array(rng.dirichlet(np.ones(n)))
+        value = ValueFunction.from_array(rng.random(n))
+        dec = build_p_opt(prior, value, 0.5)
+        assert is_alpha_fair(dec.p_opt, prior, 0.5)
+
     def test_removal_order_low_values_first(self):
         # Mass leaves solution 2 (value 0) before solution 1 (value 1).
         dec = build_p_opt(WORKED_PRIOR, WORKED_VALUE, alpha=0.5)
@@ -141,7 +162,7 @@ class TestEstimateOutputLaw:
 
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
-            prior=FairPrior(lambda rng: 0),
+            prior=FairPrior.from_sampler(lambda rng: 0),
             mechanism=WelfareMechanism.constant(1),
             alpha=0.5,
         )
