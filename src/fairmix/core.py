@@ -19,7 +19,6 @@ an output lottery may move away from the fair prior.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,9 +54,12 @@ def check_alpha(alpha: float) -> float:
 class Distribution:
     """A sparse probability distribution over integer solution ids.
 
-    Entries with probability exactly zero are dropped on construction, all
-    probabilities must be non-negative (NaN is rejected), and the total mass
-    must equal one up to :data:`NORM_TOL`.  Instances are immutable.
+    Stored as two read-only vectors: :attr:`ids`, the support in ascending
+    order (``int64``), and :attr:`probs`, their probabilities.  Solution ids
+    must be non-negative integers (numpy integers included).  Entries with
+    probability exactly zero are dropped on construction, all probabilities
+    must be non-negative (NaN is rejected), and the total mass must equal
+    one up to :data:`NORM_TOL`.  Instances are immutable.
 
     >>> d = Distribution({3: 0.25, 1: 0.75, 2: 0.0})
     >>> d.support
@@ -66,60 +68,87 @@ class Distribution:
     0.0
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("ids", "probs")
 
     def __init__(self, entries: Mapping[int, float]):
-        probs: dict[int, float] = {}
-        for sid, p in entries.items():
-            p = float(p)
-            if math.isnan(p):
-                raise ParameterError(f"probability of solution {sid!r} is NaN")
-            if p < 0.0:
-                raise ParameterError(f"negative probability {p!r} for solution {sid!r}")
-            if p > 0.0:
-                probs[int(sid)] = p
-        total = sum(probs.values())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ParameterError(f"probabilities sum to {total!r}, expected 1")
-        self._probs = probs
+        for sid in entries:
+            if not isinstance(sid, (int, np.integer)):
+                raise ParameterError(f"solution id {sid!r} is not an integer")
+        ids = np.fromiter(entries, dtype=np.int64, count=len(entries))
+        self._set(ids, np.array([float(p) for p in entries.values()], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, probs: np.ndarray) -> "Distribution":
+        """Build a distribution from parallel id and probability vectors.
+
+        Ids may come in any order; the probabilities of a repeated id add
+        up, in the order given.
+        """
+        dist = cls.__new__(cls)
+        dist._set(np.asarray(ids), np.asarray(probs, dtype=float))
+        return dist
 
     @classmethod
     def from_array(cls, probs: Sequence[float]) -> "Distribution":
         """Build a distribution over ids ``0..n-1`` from a dense vector."""
-        return cls({i: float(p) for i, p in enumerate(probs)})
+        return cls.from_arrays(np.arange(len(probs)), probs)
 
     @classmethod
     def point_mass(cls, sid: int) -> "Distribution":
         return cls({sid: 1.0})
 
+    def _set(self, ids: np.ndarray, probs: np.ndarray) -> None:
+        """Validate, add up repeated ids, sort by id, drop zero entries, freeze."""
+        if ids.dtype.kind not in "iu":
+            raise ParameterError(f"solution ids must be integers, got dtype {ids.dtype}")
+        ids = ids.astype(np.int64)
+        if np.any(ids < 0):
+            raise ParameterError(f"solution id {ids.min()} is negative")
+        bad = np.isnan(probs) | (probs < 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(
+                f"probability {float(probs[i])!r} of solution {ids[i]} is NaN or negative"
+            )
+        ids, inverse = np.unique(ids, return_inverse=True)
+        probs = np.bincount(inverse, probs, ids.size)
+        ids, probs = ids[probs > 0.0], probs[probs > 0.0]
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORM_TOL:
+            raise ParameterError(f"probabilities sum to {total!r}, expected 1")
+        ids.setflags(write=False)
+        probs.setflags(write=False)
+        self.ids = ids
+        self.probs = probs
+
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._probs))
+        return tuple(self.ids.tolist())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support ids ascending and their probabilities, renormalized so the
         float sum is one to rounding (numpy's samplers check it)."""
-        ids = np.array(self.support, dtype=np.int64)
-        probs = np.array([self._probs[i] for i in self.support], dtype=float)
-        return ids, probs / probs.sum()
+        return self.ids, self.probs / self.probs.sum()
+
+    def probs_at(self, ids: Any) -> np.ndarray:
+        """Probabilities of ``ids`` (zero off the support), element-wise."""
+        pos = np.minimum(np.searchsorted(self.ids, ids), self.ids.size - 1)
+        return np.where(self.ids[pos] == ids, self.probs[pos], 0.0)
 
     def items(self) -> Iterator[tuple[int, float]]:
-        return iter(sorted(self._probs.items()))
+        return zip(self.ids.tolist(), self.probs.tolist())
 
     def as_dict(self) -> dict[int, float]:
-        return dict(self._probs)
+        return dict(self.items())
 
     def __getitem__(self, sid: int) -> float:
-        return self._probs.get(sid, 0.0)
-
-    def __contains__(self, sid: int) -> bool:
-        return sid in self._probs
+        return float(self.probs_at(sid))
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return self.ids.size
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v:.6g}" for k, v in sorted(self._probs.items()))
+        inner = ", ".join(f"{k}: {v:.6g}" for k, v in self.items())
         return f"Distribution({{{inner}}})"
 
 
@@ -129,8 +158,9 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     >>> tv_distance(Distribution({0: 0.2, 1: 0.8}), Distribution({0: 0.6, 1: 0.4}))
     0.4
     """
-    keys = set(p.as_dict()) | set(q.as_dict())
-    return 0.5 * sum(abs(p[k] - q[k]) for k in keys)
+    ids, inverse = np.unique(np.concatenate((p.ids, q.ids)), return_inverse=True)
+    diff = np.bincount(inverse, np.concatenate((p.probs, -q.probs)), ids.size)
+    return 0.5 * float(np.abs(diff).sum())
 
 
 def is_alpha_fair(p: Distribution, prior: Distribution, alpha: float) -> bool:
@@ -183,9 +213,13 @@ class ValueFunction:
     def many(self, solutions: Sequence[Any]) -> np.ndarray:
         """Values of a batch of solutions, as a float vector.
 
-        Calls the value once per solution; scenarios whose prior draws a
-        compact batch override this with a vectorized evaluation.
+        An array-backed value function indexes :attr:`values` once;
+        otherwise the value is called once per solution.  Scenarios whose
+        prior draws a compact batch override this with a vectorized
+        evaluation.
         """
+        if self.values is not None and len(solutions):
+            return self.values[np.asarray(solutions)]
         return np.array([self(x) for x in solutions], dtype=float)
 
     def argmax(self) -> int:
@@ -198,13 +232,13 @@ class ValueFunction:
         return self(self.argmax())
 
 
-def expected_value(dist: Distribution, value: ValueFunction | Callable[[int], float]) -> float:
+def expected_value(dist: Distribution, value: ValueFunction) -> float:
     """Expected value of ``value`` under the lottery ``dist``.
 
     >>> expected_value(Distribution({0: 0.5, 1: 0.5}), ValueFunction.from_array([2.0, 4.0]))
     3.0
     """
-    return sum(p * value(sid) for sid, p in dist.items())
+    return float(dist.probs @ value.many(dist.ids))
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,9 @@ def simple_mix_distribution(prior: Distribution, a: int, alpha: float) -> Distri
     Distribution({0: 0.6, 1: 0.4})
     """
     alpha = check_alpha(alpha)
-    out = {sid: (1.0 - alpha) * p for sid, p in prior.items()}
-    out[a] = out.get(a, 0.0) + alpha
-    return Distribution(out)
+    return Distribution.from_arrays(
+        np.append(prior.ids, a), np.append((1.0 - alpha) * prior.probs, alpha)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _tails_by_counts(
     the block's cumulative-count boundaries.
     """
     ids, probs = instance.prior.explicit.arrays()
-    values = np.array([instance.value(int(i)) for i in ids], dtype=float)
+    values = instance.value.many(ids)
     order = np.lexsort((ids, -values))
     ids, probs = ids[order], probs[order]
 

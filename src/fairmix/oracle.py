@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -57,19 +56,17 @@ def _check_scale(n: int) -> None:
 class OptDecomposition:
     """Optimal lottery under a fairness budget, with its mass decomposition.
 
-    ``residual`` is the prior after removing ``alpha`` mass from its
-    lowest-valued solutions (total mass ``1 - alpha``); ``p_opt`` is the
-    residual plus ``alpha`` mass on ``opt``.  Scaling the residual back to a
-    probability distribution gives ``p_alpha`` (``None`` when ``alpha = 1``),
-    and scaling the removed mass gives ``p_alpha_tilde`` (``None`` when
-    ``alpha = 0``); the prior then decomposes as
+    ``p_opt`` is the prior with ``alpha`` mass moved from its lowest-valued
+    solutions onto ``opt``.  The kept and the removed prior mass, each
+    scaled to a probability distribution, are ``p_alpha`` (``None`` when
+    no mass is kept, as at ``alpha = 1``) and ``p_alpha_tilde`` (``None``
+    when ``alpha = 0``), so the prior is
     ``(1 - alpha) * p_alpha + alpha * p_alpha_tilde``.
     """
 
     alpha: float
     opt: int
     p_opt: Distribution
-    residual: dict[int, float]
     p_alpha: Distribution | None
     p_alpha_tilde: Distribution | None
 
@@ -83,49 +80,28 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
     to the smallest id), otherwise over the prior's support.
     """
     alpha = check_alpha(alpha)
-    support = prior.support
-    _check_scale(len(support))
-    if value.values is not None:
-        if support and support[-1] >= value.values.size:
-            raise ParameterError(
-                f"prior support id {support[-1]} outside value domain of size {value.values.size}"
-            )
-        opt = value.argmax()
-    else:
-        opt = min(support, key=lambda i: (-value(i), i))
+    ids, probs = prior.ids, prior.probs
+    _check_scale(ids.size)
+    if value.values is not None and ids[-1] >= value.values.size:
+        raise ParameterError(
+            f"prior support id {ids[-1]} outside value domain of size {value.values.size}"
+        )
+    vals = value.many(ids)
+    opt = value.argmax() if value.values is not None else int(ids[np.argmax(vals)])
 
-    removal_order = sorted(support, key=lambda i: (value(i), i))
-    residual = prior.as_dict()
-    to_remove = alpha
-    for sid in removal_order:
-        if to_remove <= NORM_TOL:
-            break
-        take = min(residual[sid], to_remove)
-        residual[sid] -= take
-        to_remove -= take
-        if residual[sid] <= 0.0:
-            del residual[sid]
-
-    p_opt_entries = dict(residual)
-    p_opt_entries[opt] = p_opt_entries.get(opt, 0.0) + alpha
-    p_opt = Distribution(p_opt_entries)
-
-    p_alpha = None
-    if alpha < 1.0:
-        p_alpha = Distribution({k: v / (1.0 - alpha) for k, v in residual.items()})
-    p_alpha_tilde = None
-    if alpha > 0.0:
-        removed = {k: prior[k] - residual.get(k, 0.0) for k in support}
-        p_alpha_tilde = Distribution({k: v / alpha for k, v in removed.items() if v > 0.0})
-
-    return OptDecomposition(
-        alpha=alpha,
-        opt=int(opt),
-        p_opt=p_opt,
-        residual=residual,
-        p_alpha=p_alpha,
-        p_alpha_tilde=p_alpha_tilde,
-    )
+    order = np.lexsort((ids, vals))
+    p = probs[order]
+    before = np.concatenate(([0.0], np.cumsum(p)[:-1]))  # prior mass ahead in removal order
+    removed = np.empty_like(probs)
+    removed[order] = np.clip(alpha - before, 0.0, p)
+    residual = probs - removed
+    # Each part is scaled by its own mass: 1 - alpha (or alpha) up to rounding,
+    # but near alpha = 1 that rounding is as large as 1 - alpha itself.
+    kept = residual.sum()
+    p_alpha = Distribution.from_arrays(ids, residual / kept) if alpha < 1.0 and kept > 0.0 else None
+    p_alpha_tilde = Distribution.from_arrays(ids, removed / removed.sum()) if alpha > 0.0 else None
+    p_opt = Distribution.from_arrays(np.append(ids, opt), np.append(residual, alpha))
+    return OptDecomposition(alpha, int(opt), p_opt, p_alpha, p_alpha_tilde)
 
 
 def v_p_opt(decomp: OptDecomposition, value: ValueFunction) -> float:
@@ -193,18 +169,22 @@ def estimate_output_law(
     else:
         outputs = simple_mix_many(instance, n_runs, rng)
 
-    counts: Counter[Any] = Counter(outputs)
-    for sid in counts:
-        if not isinstance(sid, (int, np.integer)):
-            raise ParameterError(f"oracle mode requires integer solution ids, saw {sid!r}")
-    return Distribution({int(sid): c / n_runs for sid, c in counts.items()})
+    try:
+        outputs = np.asarray(outputs)
+    except ValueError:  # ragged, such as a tuple among integer ids
+        outputs = np.asarray(outputs, dtype=object)
+    if outputs.ndim != 1 or outputs.dtype.kind not in "iu":
+        raise ParameterError("oracle mode requires integer solution ids from prior and mechanism")
+    ids, counts = np.unique(outputs, return_counts=True)
+    return Distribution.from_arrays(ids, counts / n_runs)
 
 
 @dataclasses.dataclass(frozen=True)
 class GuaranteeReport:
     """Outcome of one empirical fairness/welfare check.
 
-    Serializes as a flat ``key=value`` text record via :meth:`render`.
+    Serializes via :meth:`render` as one ``key=value`` line per field, in
+    declaration order, then ``passed``.
     """
 
     algorithm: str
@@ -230,38 +210,21 @@ class GuaranteeReport:
 
     def lines(self) -> list[str]:
         def fmt(v: Any) -> str:
-            if isinstance(v, float):
-                return f"{v:.12g}"
-            return str(v)
+            if v is None:  # the epsilon of a simple_mix check
+                return "none"
+            return f"{v:.12g}" if isinstance(v, float) else str(v)
 
-        fields = [
-            ("algorithm", self.algorithm),
-            ("alpha", self.alpha),
-            ("lam", self.lam),
-            ("epsilon", self.epsilon if self.epsilon is not None else "none"),
-            ("n_runs", self.n_runs),
-            ("n_solutions", self.n_solutions),
-            ("tv_emp", self.tv_emp),
-            ("tv_slack", self.tv_slack),
-            ("welfare_emp", self.welfare_emp),
-            ("welfare_slack", self.welfare_slack),
-            ("v_p_opt", self.v_p_opt),
-            ("bound_factor", self.bound_factor),
-            ("welfare_bound", self.welfare_bound),
-            ("fairness_ok", self.fairness_ok),
-            ("welfare_ok", self.welfare_ok),
-            ("retried", self.retried),
-            ("passed", self.passed),
-        ]
-        return [f"{k}={fmt(v)}" for k, v in fields]
+        fields = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        return [f"{k}={fmt(v)}" for k, v in [*fields, ("passed", self.passed)]]
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
 
 def _law_moments(law: Distribution, value: ValueFunction) -> tuple[float, float]:
-    mean = expected_value(law, value)
-    second = sum(p * value(sid) ** 2 for sid, p in law.items())
+    values = value.many(law.ids)
+    mean = float(law.probs @ values)
+    second = float(law.probs @ values**2)
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -361,20 +324,20 @@ def check_individual_fairness(
     """
     alpha = check_alpha(alpha)
     p_s = candidate if candidate is not None else simple_mix_distribution(prior, a, alpha)
-    for sid, p in prior.items():
-        floor = (1.0 - alpha) * p
-        if p_s[sid] < floor - atol:
-            return False
-        if sid != a and abs(p_s[sid] - floor) > atol:
-            return False
+    floor = (1.0 - alpha) * prior.probs
+    kept = p_s.probs_at(prior.ids)
+    if np.any(kept < floor - atol) or np.any((prior.ids != a) & (np.abs(kept - floor) > atol)):
+        return False
     if utilities is not None:
         utilities = np.asarray(utilities, dtype=float)
+        top = max(prior.ids[-1], p_s.ids[-1])
+        if utilities.ndim != 2 or utilities.shape[1] <= top:
+            raise ParameterError(f"utilities table needs a column per solution id up to {top}")
         scale = max(1.0, float(np.abs(utilities).max()))
-        for agent in range(utilities.shape[0]):
-            u_prior = sum(p * utilities[agent, sid] for sid, p in prior.items())
-            u_mix = sum(p * utilities[agent, sid] for sid, p in p_s.items())
-            if u_mix < (1.0 - alpha) * u_prior - atol * scale:
-                return False
+        u_prior = utilities[:, prior.ids] @ prior.probs
+        u_mix = utilities[:, p_s.ids] @ p_s.probs
+        if np.any(u_mix < (1.0 - alpha) * u_prior - atol * scale):
+            return False
     return True
 
 
@@ -399,6 +362,8 @@ def grid_search_value(
     alpha = check_alpha(alpha)
     if value.values is None:
         raise ParameterError("grid search requires an enumerable (array-backed) value function")
+    if not 0.0 < resolution <= 1.0:
+        raise ParameterError(f"resolution must be a finite number in (0, 1], got {resolution!r}")
     units = round(1.0 / resolution)
     if units < 1 or abs(units * resolution - 1.0) > 1e-9:
         raise ParameterError(f"resolution {resolution!r} must evenly divide 1")
@@ -406,16 +371,15 @@ def grid_search_value(
     n = vals.size
     _check_scale(n * units)
 
+    if prior.ids[-1] >= n:
+        raise ParameterError(f"prior support id {prior.ids[-1]} outside value domain of size {n}")
+    k = np.round(prior.probs / resolution)
+    off_grid = np.abs(k * resolution - prior.probs) > 1e-9
+    if off_grid.any():
+        bad = prior.ids[off_grid][0]
+        raise ParameterError(f"prior mass of solution {bad} is not a multiple of {resolution!r}")
     prior_units = np.zeros(n, dtype=np.int64)
-    for sid, p in prior.items():
-        if sid >= n:
-            raise ParameterError(f"prior support id {sid} outside value domain of size {n}")
-        k = round(p / resolution)
-        if abs(k * resolution - p) > 1e-9:
-            raise ParameterError(
-                f"prior probability {p!r} for solution {sid} is not a multiple of {resolution!r}"
-            )
-        prior_units[sid] = k
+    prior_units[prior.ids] = k
 
     # Deviation is counted in grid units: placing u units on a solution with
     # prior mass k contributes |u - k| units, and total variation is half the

@@ -121,3 +121,44 @@ def unit_round_robin_reference_prior(instance: BipartiteInstance) -> FairPrior:
     return FairPrior.from_sampler(
         lambda rng: unit_round_robin_reference(instance, rng.permutation(instance.n_left))
     )
+
+
+def build_p_opt_reference(prior: Distribution, value: ValueFunction, alpha: float):
+    """Per-id dict loop behind :func:`fairmix.oracle.build_p_opt`, kept as its
+    reference.  Returns ``(opt, p_opt, p_alpha, p_alpha_tilde)``.
+
+    Walks the support by (value, id) ascending; each solution gives up the
+    part of its mass that the budget left after the mass walked so far
+    still covers.  That remainder is ``alpha`` minus a running sum, the
+    float arithmetic of the array version's cumulative sum, so the two
+    remove the same bits and no boundary rounding can add or drop an entry.
+    The kept and removed parts are scaled by their own summed mass.
+    """
+    support = prior.support
+    if value.values is not None:
+        opt = value.argmax()
+    else:
+        opt = min(support, key=lambda i: (-value(i), i))
+    residual = prior.as_dict()
+    removed = {}
+    walked = 0.0
+    for sid in sorted(support, key=lambda i: (value(i), i)):
+        take = min(residual[sid], max(alpha - walked, 0.0))
+        walked += residual[sid]
+        residual[sid] -= take
+        removed[sid] = take
+    p_opt_entries = dict(residual)
+    p_opt_entries[opt] = p_opt_entries.get(opt, 0.0) + alpha
+    kept, cut = sum(residual.values()), sum(removed.values())
+    p_alpha = p_alpha_tilde = None
+    if alpha < 1.0 and kept > 0.0:
+        p_alpha = Distribution({k: v / kept for k, v in residual.items()})
+    if alpha > 0.0:
+        p_alpha_tilde = Distribution({k: v / cut for k, v in removed.items()})
+    return opt, Distribution(p_opt_entries), p_alpha, p_alpha_tilde
+
+
+def tv_distance_reference(p: Distribution, q: Distribution) -> float:
+    """Set-union loop behind :func:`fairmix.core.tv_distance`, kept as its reference."""
+    keys = set(p.as_dict()) | set(q.as_dict())
+    return 0.5 * sum(abs(p[k] - q[k]) for k in keys)

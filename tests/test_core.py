@@ -69,9 +69,36 @@ class TestDistribution:
         d = Distribution({2: 0.5, 0: 0.5})
         assert list(d.items()) == [(0, 0.5), (2, 0.5)]
 
+    def test_rejects_negative_solution_id(self):
+        with pytest.raises(ParameterError, match="solution id -1"):
+            Distribution({-1: 1.0})
+        with pytest.raises(ParameterError, match="solution id -1"):
+            Distribution.from_arrays(np.array([2, -1]), np.array([0.5, 0.5]))
+
+    def test_rejects_non_integral_solution_id(self):
+        with pytest.raises(ParameterError, match="solution id 1.5"):
+            Distribution({1.5: 1.0})
+        with pytest.raises(ParameterError, match="solution ids must be integers"):
+            Distribution.from_arrays(np.array([1.5]), np.array([1.0]))
+
+    def test_numpy_integer_ids_accepted(self):
+        d = Distribution({np.int64(4): 0.5, np.uint8(1): 0.5})
+        assert d.support == (1, 4)
+        assert all(type(sid) is int and type(p) is float for sid, p in d.items())
+
+    def test_from_arrays_adds_repeated_ids(self):
+        d = Distribution.from_arrays(np.array([3, 1, 3]), np.array([0.25, 0.5, 0.25]))
+        assert d.as_dict() == {1: 0.5, 3: 0.5}
+
+    def test_arrays_are_read_only(self):
+        d = Distribution({0: 0.5, 2: 0.5})
+        for arr in (d.ids, d.probs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 _WEIGHTS = st.dictionaries(
-    st.integers(-1000, 1000), st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1
+    st.integers(0, 2000), st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1
 ).filter(lambda w: sum(w.values()) > 0.0)
 
 
@@ -88,7 +115,7 @@ def test_distribution_accepts_any_normalized_vector(weights):
 @given(
     weights=_WEIGHTS,
     bad=st.one_of(st.just(float("nan")), st.floats(max_value=0.0, exclude_max=True)),
-    bad_id=st.integers(-1000, 1000),
+    bad_id=st.integers(0, 2000),
 )
 def test_distribution_rejects_nan_or_negative_entry(weights, bad, bad_id):
     total = sum(weights.values())
@@ -216,6 +243,12 @@ class TestValueFunctionMany:
         value = ValueFunction.from_array([1.0, 2.5, 4.0])
         out = value.many([2, 0, 2])
         assert isinstance(out, np.ndarray) and out.tolist() == [4.0, 1.0, 4.0]
+
+    def test_array_backed_indexes_values_without_calling(self):
+        value = ValueFunction.from_array([1.0, 2.5, 4.0])
+        value._fn = lambda sid: pytest.fail(f"called the wrapped function for {sid!r}")
+        assert value.many(np.array([2, 0, 2])).tolist() == [4.0, 1.0, 4.0]
+        assert value.many([1]).tolist() == [2.5]
 
     def test_default_keeps_nonnegative_check(self):
         with pytest.raises(ParameterError):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmix.core import (
     Distribution,
     ParameterError,
     ScaleError,
     ValueFunction,
+    WelfareMechanism,
     expected_value,
     is_alpha_fair,
     tv_distance,
@@ -26,7 +31,13 @@ from fairmix.oracle import (
 )
 from fairmix.mix import simple_mix_distribution
 
-from conftest import make_instance, random_instance, random_simplex
+from conftest import (
+    build_p_opt_reference,
+    make_instance,
+    random_instance,
+    random_simplex,
+    tv_distance_reference,
+)
 
 
 WORKED_PRIOR = Distribution({0: 0.2, 1: 0.3, 2: 0.5})
@@ -119,6 +130,27 @@ class TestBuildPOpt:
         dec = build_p_opt(prior, value, 0.5)
         assert is_alpha_fair(dec.p_opt, prior, 0.5)
 
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-12, float(np.nextafter(1.0, 0.0))])
+    def test_alpha_just_below_one(self, alpha):
+        # The kept mass is 1 - alpha only up to rounding of the order of
+        # 1 - alpha; scaling by 1 - alpha used to break normalization.
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            inst = random_instance(rng, alpha=alpha)
+            prior = inst.prior.explicit
+            dec = build_p_opt(prior, inst.value, alpha)
+            assert is_alpha_fair(dec.p_opt, prior, alpha)
+            assert v_p_opt(dec, inst.value) == pytest.approx(inst.value.max_value(), rel=1e-9)
+
+    @pytest.mark.parametrize("sid", [-1, 1.5])
+    def test_invalid_solution_id_never_reaches_the_oracles(self, sid):
+        # -1 would index the last value; 1.5 would be truncated to id 1.
+        value = ValueFunction.from_array([1.0, 2.0])
+        with pytest.raises(ParameterError, match="solution id"):
+            build_p_opt(Distribution({sid: 1.0}), value, 0.5)
+        with pytest.raises(ParameterError, match="solution id"):
+            grid_search_value(Distribution({sid: 1.0}), value, 0.5)
+
     def test_removal_order_low_values_first(self):
         # Mass leaves solution 2 (value 0) before solution 1 (value 1).
         dec = build_p_opt(WORKED_PRIOR, WORKED_VALUE, alpha=0.5)
@@ -168,6 +200,13 @@ class TestEstimateOutputLaw:
         )
         with pytest.raises(ParameterError):
             estimate_output_law("simple_mix", inst, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("output", [1.5, (0, 1)])
+    def test_rejects_non_integer_outputs(self, output):
+        inst = dataclasses.replace(make_instance([1.0, 2.0], [0.5, 0.5], alpha=0.5),
+                                   mechanism=WelfareMechanism.constant(output))
+        with pytest.raises(ParameterError, match="integer solution ids"):
+            estimate_output_law("simple_mix", inst, 50, np.random.default_rng(0))
 
     def test_scale_cap(self):
         n = ORACLE_MAX_SOLUTIONS + 1
@@ -220,6 +259,11 @@ class TestIndividualFairness:
         bad = Distribution({0: 0.2, 1: 0.8})  # 0.2 < (1-0.4)*0.5
         assert not check_individual_fairness(prior, a=1, alpha=0.4, candidate=bad)
 
+    def test_utilities_need_a_column_per_supported_id(self):
+        prior = Distribution({0: 0.5, 3: 0.5})
+        with pytest.raises(ParameterError, match="column"):
+            check_individual_fairness(prior, 0, 0.3, utilities=np.ones((2, 2)))
+
     def test_exact_candidate_accepted(self):
         prior = Distribution({0: 0.5, 1: 0.5})
         good = simple_mix_distribution(prior, a=1, alpha=0.4)
@@ -227,6 +271,12 @@ class TestIndividualFairness:
 
 
 class TestGridSearch:
+    @pytest.mark.parametrize("resolution", [0.0, float("nan"), float("inf")])
+    def test_rejects_resolution_outside_unit_interval(self, resolution):
+        prior = Distribution({0: 0.5, 1: 0.5})
+        with pytest.raises(ParameterError, match="resolution"):
+            grid_search_value(prior, ValueFunction.from_array([1.0, 0.0]), 0.5, resolution)
+
     def test_requires_grid_aligned_prior(self):
         prior = Distribution({0: 1 / 3, 1: 2 / 3})
         with pytest.raises(ParameterError):
@@ -253,3 +303,50 @@ class TestGridSearch:
             best = grid_search_value(prior, value, alpha, resolution=0.02)
             dec = build_p_opt(prior, value, alpha)
             assert best <= v_p_opt(dec, value) + 0.02 * value.max_value() + 1e-9
+
+
+_TIE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def _oracle_problems(draw):
+    """A prior over a subset of ``m`` ids, with value ties and 5e-10 masses."""
+    m = draw(st.integers(1, 12))
+    values = np.array(draw(st.lists(_TIE_VALUES, min_size=m, max_size=m)))
+    support = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    tiny = np.array(draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support))))
+    tiny[0] = tiny[0] and not tiny.all()
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support),
+                                     max_size=len(support))))
+    probs = np.where(tiny, 5e-10, weights / weights[~tiny].sum() * (1.0 - 5e-10 * tiny.sum()))
+    prior = Distribution(dict(zip(support, probs.tolist())))
+    if draw(st.booleans()):
+        value = ValueFunction.from_array(values)
+    else:
+        value = ValueFunction(lambda sid: float(values[sid]))
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return prior, value, alpha
+
+
+def _assert_same_law(got: Distribution | None, want: Distribution | None) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert got.support == want.support
+    np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
+
+
+@given(problem=_oracle_problems())
+def test_build_p_opt_matches_reference_loop(problem):
+    prior, value, alpha = problem
+    dec = build_p_opt(prior, value, alpha)
+    opt, p_opt, p_alpha, p_alpha_tilde = build_p_opt_reference(prior, value, alpha)
+    assert dec.opt == opt
+    _assert_same_law(dec.p_opt, p_opt)
+    _assert_same_law(dec.p_alpha, p_alpha)
+    _assert_same_law(dec.p_alpha_tilde, p_alpha_tilde)
+    for law in (dec.p_opt, dec.p_alpha, dec.p_alpha_tilde):
+        if law is not None:
+            assert tv_distance(law, prior) == pytest.approx(
+                tv_distance_reference(law, prior), abs=1e-12
+            )
