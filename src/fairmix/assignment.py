@@ -280,57 +280,77 @@ class RoundRobinSampler:
     item index) that still has remaining demand and that the agent does
     not already hold.  Passes repeat until all demand is met.
 
-    With unit demand and cap this is random serial dictatorship: one pass
-    suffices and only the first ``n_right`` agents of the order receive an
-    item.  :meth:`sample_many` then draws a whole batch in a few numpy
-    steps and returns an :class:`AssignmentBatch`; otherwise it repeats
-    :meth:`sample`.
+    :meth:`sample_many` draws a whole batch as an :class:`AssignmentBatch`
+    and :meth:`sample` is its first row.  With unit demand and cap this
+    is random serial dictatorship: one pass suffices and only the first
+    ``n_right`` agents of the order receive an item, so the batch is
+    drawn by :func:`ordered_subsets` and :func:`serial_dictatorship_picks`.
+    Otherwise :func:`round_robin_picks` runs the passes for every row at
+    once.
     """
 
     def __init__(self, instance: BipartiteInstance):
         self.instance = instance
         self.unit = instance.demand == 1 and instance.load_cap == 1
-        # Row a lists items by agent a's affinity descending, index ascending.
-        self.pref = np.argsort(-instance.weights, axis=1, kind="stable")
 
     def sample(self, rng: np.random.Generator) -> AssignmentSolution:
-        if self.unit:
-            return self.sample_many(rng, 1)[0]
-        inst = self.instance
-        L, R = inst.n_left, inst.n_right
-        remaining = np.full(R, inst.demand, dtype=int)
-        load = np.zeros(L, dtype=int)
-        held: list[set[int]] = [set() for _ in range(L)]
-        edges: list[tuple[int, int]] = []
-        needed = R * inst.demand
-        while len(edges) < needed:
-            progressed = False
-            for a in rng.permutation(L):
-                if load[a] >= inst.load_cap:
-                    continue
-                for j in self.pref[a]:
-                    if remaining[j] > 0 and j not in held[a]:
-                        remaining[j] -= 1
-                        load[a] += 1
-                        held[a].add(int(j))
-                        edges.append((int(a), int(j)))
-                        progressed = True
-                        break
-                if len(edges) == needed:
-                    break
-            if not progressed:
-                raise InfeasibleError("round robin deadlocked before meeting demand")
-        return AssignmentSolution.from_edges(edges)
+        return self.sample_many(rng, 1)[0]
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> AssignmentBatch | list[AssignmentSolution]:
-        """``n`` independent draws: one :class:`AssignmentBatch` in the unit
-        case, else a list of :meth:`sample` results."""
-        if not self.unit:
-            return [self.sample(rng) for _ in range(n)]
-        agents = ordered_subsets(rng, self.instance.n_left, self.instance.n_right, n)
-        return AssignmentBatch(agents, serial_dictatorship_picks(self.instance.weights, agents))
+    def sample_many(self, rng: np.random.Generator, n: int) -> AssignmentBatch:
+        """``n`` independent draws as one :class:`AssignmentBatch`."""
+        inst = self.instance
+        if self.unit:
+            agents = ordered_subsets(rng, inst.n_left, inst.n_right, n)
+            return AssignmentBatch(agents, serial_dictatorship_picks(inst.weights, agents))
+        return AssignmentBatch(*round_robin_picks(rng, inst, n))
+
+
+def round_robin_picks(
+    rng: np.random.Generator, instance: BipartiteInstance, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Agents and items of ``n`` round-robin draws, each ``(n, n_right * demand)``
+    in pick order.
+
+    Every pass draws one agent order per row with a single
+    ``rng.permuted`` call, and each turn is one step over all rows.  An
+    agent's items rank by affinity descending, ties to the lowest index.
+    Everything it holds ranks before its last pick, and every item ranked
+    before that pick was already full then and stays full, so its next
+    pick is the open item of lowest rank after its last one: an
+    ``argmin`` over ranks, with no held-item set.  The working state is
+    ``O(n * (n_left + n_right))``.  Raises :class:`InfeasibleError` when
+    a row goes a whole pass without a pick.
+    """
+    L, R, cap = instance.n_left, instance.n_right, instance.load_cap
+    m = R * instance.demand
+    rank = np.argsort(np.argsort(-instance.weights, axis=1, kind="stable"), axis=1)
+    remaining = np.full((n, R), instance.demand)
+    load = np.zeros((n, L), dtype=np.intp)
+    start = np.zeros((n, L), dtype=np.intp)  # rank after the agent's last pick
+    agents = np.empty((n, m), dtype=np.intp)
+    items = np.empty((n, m), dtype=np.intp)
+    filled = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    while (filled < m).any():
+        orders = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
+        moved = filled == m
+        for turn in orders.T:
+            ranks = rank[turn]
+            key = np.where((remaining > 0) & (ranks >= start[rows, turn, None]), ranks, R)
+            pick = key.argmin(axis=1)
+            q = key[rows, pick]
+            got = np.flatnonzero((q < R) & (filled < m) & (load[rows, turn] < cap))
+            a, pick = turn[got], pick[got]
+            agents[got, filled[got]] = a
+            items[got, filled[got]] = pick
+            start[got, a] = q[got] + 1
+            load[got, a] += 1
+            remaining[got, pick] -= 1
+            filled[got] += 1
+            moved[got] = True
+        if not moved.all():
+            raise InfeasibleError("round robin deadlocked before meeting demand")
+    return agents, items
 
 
 def ordered_subsets(rng: np.random.Generator, L: int, R: int, n: int) -> np.ndarray:

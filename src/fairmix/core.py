@@ -202,7 +202,12 @@ class ValueFunction:
             raise ParameterError("values must be finite and non-negative")
         arr = arr.copy()
         arr.setflags(write=False)
-        return cls(lambda sid: float(arr[sid]), values=arr)
+
+        def lookup(sid: Any) -> float:
+            _check_ids(sid, sid, arr.size)
+            return float(arr[sid])
+
+        return cls(lookup, values=arr)
 
     def __call__(self, solution: Any) -> float:
         v = float(self._fn(solution))
@@ -213,13 +218,15 @@ class ValueFunction:
     def many(self, solutions: Sequence[Any]) -> np.ndarray:
         """Values of a batch of solutions, as a float vector.
 
-        An array-backed value function indexes :attr:`values` once;
-        otherwise the value is called once per solution.  Scenarios whose
-        prior draws a compact batch override this with a vectorized
-        evaluation.
+        An array-backed value function checks the id range once and
+        indexes :attr:`values` once; otherwise the value is called once
+        per solution.  Scenarios whose prior draws a compact batch override
+        this with a vectorized evaluation.
         """
         if self.values is not None and len(solutions):
-            return self.values[np.asarray(solutions)]
+            ids = np.asarray(solutions)
+            _check_ids(ids.min(), ids.max(), self.values.size)
+            return self.values[ids]
         return np.array([self(x) for x in solutions], dtype=float)
 
     def argmax(self) -> int:
@@ -230,6 +237,14 @@ class ValueFunction:
 
     def max_value(self) -> float:
         return self(self.argmax())
+
+
+def _check_ids(lo: Any, hi: Any, size: int) -> None:
+    """Raise unless ids from ``lo`` to ``hi`` all index a vector of ``size``
+    (numpy would wrap a negative id onto the end)."""
+    if lo < 0 or hi >= size:
+        bad = lo if lo < 0 else hi
+        raise ParameterError(f"solution id {bad} is outside [0, {size})")
 
 
 def expected_value(dist: Distribution, value: ValueFunction) -> float:

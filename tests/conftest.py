@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 import fairmix
-from fairmix.assignment import AssignmentSolution, BipartiteInstance
+from fairmix.assignment import AssignmentSolution, BipartiteInstance, InfeasibleError
 from fairmix.core import (
     Distribution,
     FairPrior,
@@ -114,6 +114,61 @@ def unit_round_robin_reference(instance: BipartiteInstance, order) -> Assignment
         if len(edges) == instance.n_right:
             break
     return AssignmentSolution.from_edges(edges)
+
+
+def round_robin_reference(instance: BipartiteInstance, orders) -> list[tuple[int, int]]:
+    """Round robin with any demand and cap, pass ``k`` taking agents in ``orders[k]``.
+
+    The scalar loop that the batched sampler replaced, kept as its law
+    reference: each agent below its load cap takes its favourite item
+    (ties to the lowest item index) that still has demand and that it does
+    not hold, until all demand is met.  Returns the ``(agent, item)``
+    edges in pick order.  ``orders`` may hold more passes than are used.
+    """
+    pref = np.argsort(-instance.weights, axis=1, kind="stable")
+    L, R = instance.n_left, instance.n_right
+    remaining = np.full(R, instance.demand, dtype=int)
+    load = np.zeros(L, dtype=int)
+    held: list[set[int]] = [set() for _ in range(L)]
+    edges: list[tuple[int, int]] = []
+    needed = R * instance.demand
+    passes = iter(orders)
+    while len(edges) < needed:
+        progressed = False
+        for a in next(passes):
+            if load[a] >= instance.load_cap:
+                continue
+            for j in pref[a]:
+                if remaining[j] > 0 and j not in held[a]:
+                    remaining[j] -= 1
+                    load[a] += 1
+                    held[a].add(int(j))
+                    edges.append((int(a), int(j)))
+                    progressed = True
+                    break
+            if len(edges) == needed:
+                break
+        if not progressed:
+            raise InfeasibleError("round robin deadlocked before meeting demand")
+    return edges
+
+
+class RecordingGenerator:
+    """Delegates to a numpy ``Generator`` and keeps a copy of every
+    ``permuted`` result, so a batch's per-pass agent orders can be replayed."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.permutations: list[np.ndarray] = []
+
+    def permuted(self, *args, **kwargs) -> np.ndarray:
+        out = self.rng.permuted(*args, **kwargs)
+        self.permutations.append(out.copy())
+        return out
+
+    def orders(self, row: int) -> list[np.ndarray]:
+        """The agent order of each pass for batch row ``row``."""
+        return [p[row] for p in self.permutations]
 
 
 def unit_round_robin_reference_prior(instance: BipartiteInstance) -> FairPrior:

@@ -356,6 +356,28 @@ def test_12_cli_determinism(tmp_path):
                 ],
             ),
             (
+                # Seed 0's one round is a tail, so the batched general round
+                # robin draws its 4,794 samples.
+                "bids.csv",
+                [
+                    "sweep",
+                    "--scenario",
+                    "bids",
+                    "--algorithm",
+                    "epsilon_mix",
+                    "--epsilon",
+                    "0.1",
+                    "--alpha-grid",
+                    "0.5",
+                    "--rounds",
+                    "1",
+                    "--batches",
+                    "1",
+                    "--seed",
+                    "0",
+                ],
+            ),
+            (
                 "report.txt",
                 [
                     "oracle-check",

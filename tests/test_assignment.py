@@ -25,8 +25,12 @@ from fairmix.assignment import (
     utilitarian_value,
 )
 from fairmix.core import Distribution, ParameterError, ScaleError, tv_distance
+from fairmix.experiments import bundled_data_path
+from fairmix.ingest import bids_to_instance, parse_bids
 
-from conftest import unit_round_robin_reference
+from conftest import RecordingGenerator, round_robin_reference, unit_round_robin_reference
+
+DEADLOCK = "round robin deadlocked before meeting demand"
 
 
 def brute_force_max(instance: BipartiteInstance) -> float:
@@ -309,19 +313,91 @@ class TestUnitBatchSampler:
             assert abs(values[i] - solution_value(inst, solution)) <= 1e-12
 
     def test_scalar_sample_is_first_of_a_batch(self):
-        inst = synthetic_instance(8, 3, np.random.default_rng(51))
-        sampler = RoundRobinSampler(inst)
-        one = sampler.sample(np.random.default_rng(52))
-        assert isinstance(one, AssignmentSolution)
-        assert one == sampler.sample_many(np.random.default_rng(52), 1)[0]
+        rng = np.random.default_rng(51)
+        unit = synthetic_instance(8, 3, rng)
+        general = BipartiteInstance(rng.random((5, 3)), demand=2, load_cap=2)
+        for inst in (unit, general):
+            sampler = RoundRobinSampler(inst)
+            one = sampler.sample(np.random.default_rng(52))
+            assert isinstance(one, AssignmentSolution)
+            assert one == sampler.sample_many(np.random.default_rng(52), 1)[0]
 
-    def test_general_case_keeps_scalar_loop(self):
+
+def tie_heavy_instances(rng: np.random.Generator, count: int):
+    """``count`` general round-robin instances (not unit demand and cap) with
+    weights in {0, 0.5, 1}, demand 1-3 and a load cap that is tight or one
+    above it."""
+    made = 0
+    while made < count:
+        L, R = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+        demand = int(rng.integers(1, 4))
+        cap = -(-R * demand // L) + int(rng.integers(0, 2))
+        if demand == cap == 1:
+            continue
+        made += 1
+        yield BipartiteInstance(rng.choice([0.0, 0.5, 1.0], size=(L, R)), demand, cap)
+
+
+class TestGeneralBatchSampler:
+    """The batched general round robin against the scalar reference loop."""
+
+    @staticmethod
+    def assert_replays_reference(inst: BipartiteInstance, seed: int, n: int) -> bool:
+        """Draw ``n`` rows and compare each, edge by edge in pick order, with
+        the reference fed the same per-pass orders.  Returns whether the
+        batch deadlocked, in which case some row's reference must too."""
+        rng = RecordingGenerator(np.random.default_rng(seed))
+        try:
+            batch = RoundRobinSampler(inst).sample_many(rng, n)
+        except InfeasibleError as exc:
+            assert str(exc) == DEADLOCK
+            stalled = 0
+            for i in range(n):
+                try:
+                    round_robin_reference(inst, rng.orders(i))
+                except InfeasibleError as ref_exc:
+                    assert str(ref_exc) == DEADLOCK
+                    stalled += 1
+            assert stalled > 0
+            return True
+        assert isinstance(batch, AssignmentBatch) and len(batch) == n
+        for i in range(n):
+            got = list(zip(batch.agents[i].tolist(), batch.items[i].tolist()))
+            assert got == round_robin_reference(inst, rng.orders(i)), f"row {i}"
+        return False
+
+    def test_mini_bids_replays_reference(self):
+        inst = bids_to_instance(parse_bids(bundled_data_path("mini_bids.csv")), demand=3)
+        assert (inst.demand, inst.load_cap) == (3, 3)
+        assert not self.assert_replays_reference(inst, seed=55, n=3000)
+
+    def test_tie_heavy_instances_replay_reference(self):
+        rng = np.random.default_rng(56)
+        deadlocked = [
+            self.assert_replays_reference(inst, seed=57 + k, n=300)
+            for k, inst in enumerate(tie_heavy_instances(rng, 48))
+        ]
+        assert deadlocked.count(False) >= 40
+
+    def test_deadlock_raises_the_reference_error(self):
+        # Agents 0 and 1 both rank item 0 then item 1; agent 2 wants item 2.
+        # Pass 1 always gives items 0, 0 and 2; when agent 2 moves last in
+        # pass 2, items 0 and 1 are full, agents 0 and 1 are at their cap
+        # and agent 2 already holds item 2, whose demand stays unmet.
+        weights = np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        inst = BipartiteInstance(weights, demand=2, load_cap=2)
+        outcomes = [self.assert_replays_reference(inst, seed, n=1) for seed in range(30)]
+        assert True in outcomes and False in outcomes
+        with pytest.raises(InfeasibleError, match=DEADLOCK):
+            RoundRobinSampler(inst).sample_many(np.random.default_rng(58), 100)
+
+    def test_batch_values_equal_solution_value(self):
         rng = np.random.default_rng(53)
         inst = BipartiteInstance(rng.random((5, 3)), demand=2, load_cap=2)
-        sampler = RoundRobinSampler(inst)
-        draws = sampler.sample_many(np.random.default_rng(54), 6)
-        assert isinstance(draws, list)
-        again = np.random.default_rng(54)
-        assert draws == [sampler.sample(again) for _ in range(6)]
-        values = utilitarian_value(inst).many(draws)
-        assert values.tolist() == [solution_value(inst, d) for d in draws]
+        batch = RoundRobinSampler(inst).sample_many(np.random.default_rng(54), 200)
+        assert isinstance(batch, AssignmentBatch) and len(batch) == 200
+        values = utilitarian_value(inst).many(batch)
+        for i in range(len(batch)):
+            solution = batch[i]
+            solution.validate(inst)
+            assert abs(values[i] - solution_value(inst, solution)) <= 1e-12

@@ -254,6 +254,16 @@ class TestValueFunctionMany:
         with pytest.raises(ParameterError):
             ValueFunction(lambda s: -1.0).many([0])
 
+    @pytest.mark.parametrize("sid", [-1, 2, np.int64(-3)])
+    def test_array_backed_rejects_id_outside_vector(self, sid):
+        # numpy indexing would wrap -1 onto the last value and raise a bare
+        # IndexError past the end.
+        value = ValueFunction.from_array([1.0, 2.0])
+        with pytest.raises(ParameterError, match=f"solution id {sid} is outside"):
+            value(sid)
+        with pytest.raises(ParameterError, match=f"solution id {sid} is outside"):
+            value.many([0, sid, 1])
+
 
 class TestWelfareMechanism:
     def test_constant_returns_solution(self):
