@@ -204,8 +204,7 @@ class ValueFunction:
         arr.setflags(write=False)
 
         def lookup(sid: Any) -> float:
-            _check_ids(sid, sid, arr.size)
-            return float(arr[sid])
+            return float(arr[_checked_ids(sid, arr.size)])
 
         return cls(lookup, values=arr)
 
@@ -218,15 +217,13 @@ class ValueFunction:
     def many(self, solutions: Sequence[Any]) -> np.ndarray:
         """Values of a batch of solutions, as a float vector.
 
-        An array-backed value function checks the id range once and
-        indexes :attr:`values` once; otherwise the value is called once
+        An array-backed value function checks the id dtype and range once
+        and indexes :attr:`values` once; otherwise the value is called once
         per solution.  Scenarios whose prior draws a compact batch override
         this with a vectorized evaluation.
         """
         if self.values is not None and len(solutions):
-            ids = np.asarray(solutions)
-            _check_ids(ids.min(), ids.max(), self.values.size)
-            return self.values[ids]
+            return self.values[_checked_ids(solutions, self.values.size)]
         return np.array([self(x) for x in solutions], dtype=float)
 
     def argmax(self) -> int:
@@ -239,12 +236,17 @@ class ValueFunction:
         return self(self.argmax())
 
 
-def _check_ids(lo: Any, hi: Any, size: int) -> None:
-    """Raise unless ids from ``lo`` to ``hi`` all index a vector of ``size``
-    (numpy would wrap a negative id onto the end)."""
+def _checked_ids(ids: Any, size: int) -> np.ndarray:
+    """``ids`` as an array, once every id is an integer indexing a vector of
+    ``size`` (numpy would wrap a negative id onto the end)."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ParameterError(f"solution ids must be integers, got dtype {ids.dtype}")
+    lo, hi = ids.min(), ids.max()
     if lo < 0 or hi >= size:
         bad = lo if lo < 0 else hi
         raise ParameterError(f"solution id {bad} is outside [0, {size})")
+    return ids
 
 
 def expected_value(dist: Distribution, value: ValueFunction) -> float:

@@ -18,15 +18,15 @@ prior; for :func:`epsilon_mix` this holds for *any* sample count, so the
 
 Each algorithm is implemented once, in its ``_many`` form: flip ``n`` alpha
 coins, draw every tail, then run the mechanism for each head.  The single
-runs are the ``n = 1`` case.  :func:`epsilon_mix_many` draws tails from an
-explicit prior through multinomial sample counts, and from any other prior
-one sample batch at a time.
+runs are the ``n = 1`` case.  :func:`epsilon_mix_many` draws, sorts, trims
+and picks one sample batch per tail; on an explicit prior it draws every
+tail from the exact law of that per-sample path instead.
 
-Ties in value: on an explicit prior the sorted batch orders equal values by
-id ascending; on a sampled prior equal values keep their draw order.  Both
-guarantees depend on values only: every kept weight is at most 1 whatever
-the order among equal values, so the total-variation bound holds, and the
-welfare bound is a function of the values.
+Ties in value keep draw order in the sorted batch, so equal-valued
+solutions share tail mass in proportion to prior mass.  Both guarantees
+depend on values only: every kept weight is at most 1 whatever the order
+among equal values, so the total-variation bound holds, and the welfare
+bound is a function of the values.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.special import bdtr
 
 from .core import Distribution, InterpolationInstance, ParameterError, check_alpha
 
@@ -95,19 +96,18 @@ def trim_weights(s: int, alpha: float) -> np.ndarray:
     return np.diff(_kept_mass(np.arange(s + 1), s, alpha))
 
 
-def _kept_mass(t: np.ndarray, s: int, alpha: float) -> np.ndarray:
-    """``W(t)``: weight kept among the first ``t`` of ``s`` value-sorted samples.
+def _trim_split(s: int, alpha: float) -> tuple[int, float]:
+    """``(n1, f)``: trimming ``alpha * s`` mass from the low end of ``s``
+    value-sorted samples keeps ``n1`` of weight 1, then one of weight ``f``."""
+    k_zero = math.floor(alpha * s)
+    return s - 1 - k_zero, 1.0 - (alpha * s - k_zero)
 
-    Trimming ``alpha * s`` mass from the low-value end leaves
-    ``n1 = s - 1 - floor(alpha * s)`` samples of weight 1, then one boundary
-    sample of weight ``f = 1 - (alpha * s - floor(alpha * s))``, then zeros,
-    so ``W(t) = min(t, n1) + f * clip(t - n1, 0, 1)`` and
-    ``W(s) = (1 - alpha) * s``.
-    """
-    remove = alpha * s
-    k_zero = math.floor(remove)
-    n_ones = s - 1 - k_zero
-    return np.minimum(t, n_ones) + (1.0 - (remove - k_zero)) * np.clip(t - n_ones, 0.0, 1.0)
+
+def _kept_mass(t: np.ndarray, s: int, alpha: float) -> np.ndarray:
+    """``W(t) = min(t, n1) + f * clip(t - n1, 0, 1)``, the weight kept among
+    the first ``t`` of ``s`` value-sorted samples; ``W(s) = (1 - alpha) * s``."""
+    n1, f = _trim_split(s, alpha)
+    return np.minimum(t, n1) + f * np.clip(t - n1, 0.0, 1.0)
 
 
 def epsilon_mix(
@@ -199,10 +199,9 @@ def epsilon_mix_many(
     """``n`` independent runs of the sample-trim-and-pick algorithm
     (:func:`epsilon_mix`).
 
-    When the prior is explicit, the tails are simulated through multinomial
-    sample *counts* instead of materialized sample vectors, which gives the
-    same output law at a small fraction of the cost.  Otherwise each tail
-    draws, values, sorts, trims and picks its own sample batch.
+    On an explicit prior every tail is drawn with one ``rng.choice`` from
+    the exact tail law (:func:`_tails_by_law`); otherwise each tail draws,
+    values, sorts, trims and picks its own sample batch.
     """
     _check_epsilon(epsilon)
     if n_samples is not None and n_samples < 1:
@@ -212,7 +211,7 @@ def epsilon_mix_many(
     def draw_tails(m: int) -> Sequence[Any]:
         s = n_samples if n_samples is not None else sample_size(alpha, epsilon)
         if instance.prior.explicit is not None:
-            return _tails_by_counts(instance, s, m, rng)
+            return _tails_by_law(instance, s, m, rng)
         return _tails_by_samples(instance, s, m, rng)
 
     return _mix_many(instance, n, rng, draw_tails)
@@ -225,8 +224,7 @@ def _tails_by_samples(
 
     Each batch is one ``prior.sample_many`` call valued by one
     ``value.many`` call, so a compact batch is never materialized except
-    at the picked position.  The batch is sorted by value descending;
-    equal values keep draw order.
+    at the picked position.
     """
     kept = _kept_mass(np.arange(1, s + 1), s, instance.alpha)
     out = []
@@ -238,25 +236,25 @@ def _tails_by_samples(
     return out
 
 
-def _tails_by_counts(
+def _tails_by_law(
     instance: InterpolationInstance, s: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Tail outcomes for ``m`` runs via per-solution multinomial counts.
+    """Tail outcomes for ``m`` runs drawn from the exact per-sample tail law.
 
-    For a single run, the sorted sample vector groups into consecutive
-    blocks, one per distinct support solution in (value desc, id asc)
-    order, whose lengths are multinomial counts.  Each block's selection
-    probability is proportional to the kept mass ``W`` evaluated across
-    the block's cumulative-count boundaries.
+    Group the support by equal value.  If ``P`` is the prior mass of the
+    groups valued at least as high as a group, a batch holds ``C ~ Bin(s, P)``
+    such samples, which keep ``E W(C) = s P F[s-1,P](n1 - 1) +
+    (n1 + f) (1 - F[s,P](n1))`` weight in expectation (``F`` the binomial
+    CDF).  The group's tail mass is the rise of ``E W`` over the group
+    above, split in proportion to prior mass.
     """
     ids, probs = instance.prior.explicit.arrays()
-    values = instance.value.many(ids)
-    order = np.lexsort((ids, -values))
-    ids, probs = ids[order], probs[order]
-
-    counts = rng.multinomial(s, probs, size=m)
-    kept = _kept_mass(np.cumsum(counts, axis=1).astype(float), s, instance.alpha)
-    total = kept[:, -1]  # == (1 - alpha) * s up to rounding
-    u = rng.random(m) * total
-    picked = (kept <= u[:, None]).sum(axis=1)
-    return ids[picked]
+    _, group = np.unique(-instance.value.many(ids), return_inverse=True)  # by value desc
+    mass = np.bincount(group, probs)
+    p_at_least = np.minimum(np.cumsum(mass), 1.0)  # bdtr is NaN above 1
+    n1, f = _trim_split(s, instance.alpha)
+    below = bdtr(n1 - 1, s - 1, p_at_least) if n1 > 0 else 0.0  # bdtr is NaN at k = -1
+    kept = s * p_at_least * below + (n1 + f) * (1.0 - bdtr(n1, s, p_at_least))
+    group_law = np.maximum(np.diff(kept, prepend=0.0), 0.0) / kept[-1]
+    q = probs * (group_law / mass)[group]
+    return ids[rng.choice(ids.size, m, p=q)]

@@ -392,6 +392,24 @@ def test_12_cli_determinism(tmp_path):
                 ],
             ),
             (
+                # The explicit-prior epsilon_mix draws every tail from its
+                # exact law with one rng.choice.
+                "eps_report.txt",
+                [
+                    "oracle-check",
+                    "--preset",
+                    "random",
+                    "--algorithm",
+                    "epsilon_mix",
+                    "--epsilon",
+                    "0.1",
+                    "--rounds",
+                    "2000",
+                    "--seed",
+                    "3",
+                ],
+            ),
+            (
                 "summary.txt",
                 [
                     "ingest-check",

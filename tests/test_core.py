@@ -264,6 +264,14 @@ class TestValueFunctionMany:
         with pytest.raises(ParameterError, match=f"solution id {sid} is outside"):
             value.many([0, sid, 1])
 
+    @pytest.mark.parametrize("ids", [1.5, [0.5], [1.0], np.array([True, False])])
+    def test_array_backed_rejects_non_integer_ids(self, ids):
+        # numpy would raise a bare IndexError on floats and read booleans
+        # as a mask, returning one value for two solutions.
+        value = ValueFunction.from_array([1.0, 2.0])
+        with pytest.raises(ParameterError, match="solution ids must be integers"):
+            value.many(ids) if isinstance(ids, (list, np.ndarray)) else value(ids)
+
 
 class TestWelfareMechanism:
     def test_constant_returns_solution(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fairmix.assignment import (
     utilitarian_value,
 )
 from fairmix.core import (
+    NORM_TOL,
     Distribution,
     FairPrior,
     InterpolationInstance,
@@ -28,6 +30,8 @@ from fairmix.core import (
 )
 from fairmix.mix import (
     _kept_mass,
+    _tails_by_law,
+    _tails_by_samples,
     epsilon_mix,
     epsilon_mix_many,
     sample_size,
@@ -43,6 +47,22 @@ from conftest import make_instance, random_instance, unit_round_robin_reference_
 def empirical_law(outputs, n_solutions: int) -> Distribution:
     counts = np.bincount(np.asarray(outputs, dtype=np.int64), minlength=n_solutions)
     return Distribution.from_array(counts / counts.sum())
+
+
+class _RecordLaw:
+    """Stands in for the generator and keeps the law ``rng.choice`` is given."""
+
+    def choice(self, k, size, p):
+        self.p = p
+        return np.zeros(size, dtype=np.int64)
+
+
+def exact_tail_law(inst: InterpolationInstance, s: int) -> np.ndarray:
+    """The tail law that ``epsilon_mix_many`` draws from on an explicit prior,
+    over ``inst.prior.explicit.ids``."""
+    rec = _RecordLaw()
+    _tails_by_law(inst, s, 1, rec)
+    return rec.p
 
 
 class TestSampleSize:
@@ -93,7 +113,7 @@ class TestTrimWeights:
 @given(s=st.integers(1, 2000), alpha=st.floats(0.0, 1.0, exclude_max=True))
 def test_kept_mass_is_cumulative_trim_weight(s, alpha):
     # W(t) is the one trim formula: the per-sample pick reads it at
-    # t = 1..s and the count path at cumulative counts.
+    # t = 1..s, and the exact tail law takes its mean over binomial counts.
     kept = _kept_mass(np.arange(1, s + 1), s, alpha)
     np.testing.assert_allclose(kept, np.cumsum(trim_weights(s, alpha)), rtol=0, atol=1e-9)
     assert kept[-1] == pytest.approx((1.0 - alpha) * s, abs=1e-9)
@@ -150,14 +170,17 @@ class TestEpsilonMix:
         law = empirical_law(outs, 2)
         assert law[0] > 0.9
 
-    def test_value_ties_break_by_smaller_id(self):
-        # All values equal: trimming removes mass from the largest ids, so
-        # among non-mechanism outputs small ids dominate.
-        inst = make_instance([2.0, 2.0, 2.0], [1 / 3, 1 / 3, 1 / 3], alpha=0.5, a=2)
-        rng = np.random.default_rng(8)
-        outs = epsilon_mix_many(inst, 0.1, 4000, rng, n_samples=9)
-        law = empirical_law(outs, 3)
-        assert law[0] > law[1] + 0.1
+    def test_all_tied_values_keep_the_prior_as_tail_law(self):
+        # Ties keep draw order, so trimming equal values removes mass from
+        # each in proportion to its prior mass, and no id is favoured.
+        probs = [0.5, 0.3, 0.2]
+        inst = make_instance([2.0, 2.0, 2.0], probs, alpha=0.5, a=2)
+        for s in (1, 2, 9, 4794):
+            np.testing.assert_allclose(exact_tail_law(inst, s), probs, rtol=0, atol=1e-12)
+        n = 20000
+        outs = epsilon_mix_many(inst, 0.1, n, np.random.default_rng(8), n_samples=9)
+        target = simple_mix_distribution(inst.prior.explicit, 2, 0.5)
+        assert tv_distance(empirical_law(outs, 3), target) < 3.0 * np.sqrt(3 / n)
 
     def test_sampled_prior_ties_keep_draw_order(self):
         # Every batch draws (0,), (2,), (1,); the last two tie on value.  At
@@ -236,25 +259,59 @@ def test_run_count_validated(run_many):
     assert run_many(inst, 0, np.random.default_rng(0)) == []
 
 
+@given(
+    s=st.integers(1, 20000),
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    cells=st.lists(st.tuples(st.integers(0, 3), st.floats(1e-10, 1.0)), min_size=1, max_size=8),
+)
+def test_exact_tail_law_is_alpha_fair(s, alpha, cells):
+    # Few distinct values, so most cases tie; masses go down to ~1e-11.
+    raw = np.array([w for _, w in cells])
+    inst = make_instance([float(v) for v, _ in cells], raw / raw.sum(), alpha)
+    prior = inst.prior.explicit
+    ids, p = prior.arrays()
+    q = exact_tail_law(inst, s)
+    assert abs(q.sum() - 1.0) <= 1e-12
+    assert np.all((1.0 - alpha) * q <= p + NORM_TOL)
+    a = inst.value.argmax()
+    full = Distribution.from_arrays(np.append(ids, a), np.append((1.0 - alpha) * q, alpha))
+    assert tv_distance(full, prior) <= alpha + NORM_TOL
+
+
 class TestBatchPathLawEquivalence:
-    def test_count_path_matches_per_sample_path(self):
-        # An explicit prior takes the multinomial count path; the same
-        # lottery behind a plain sampler takes the per-sample path.  Values
-        # are distinct, so both sort every batch the same way and their
-        # output laws must agree.
-        inst = make_instance(
-            [3.0, 1.0, 1.5, 0.5, 2.0, 0.0],
-            [0.15, 0.2, 0.2, 0.15, 0.1, 0.2],
-            alpha=0.35,
-        )
-        sampled = dataclasses.replace(inst, prior=FairPrior.from_sampler(inst.prior.sample))
+    @pytest.mark.parametrize(
+        "values,probs,alpha,s",
+        [
+            ([2.0, 1.0, 2.0, 1.0, 2.0, 0.0], [0.1, 0.25, 0.05, 0.2, 0.3, 0.1], 0.35, 12),
+            ([5.0, 2.0, 2.0, 2.0, 0.0, 0.0], [0.05, 0.2, 0.3, 0.1, 0.15, 0.2], 0.8, 37),
+            ([3.0, 3.0, 0.0, 0.0, 1.0], [0.3, 0.1, 0.2, 0.25, 0.15], 0.5, 1),
+            ([1.0, 4.0, 1.0, 4.0], [0.4, 0.1, 0.3, 0.2], 0.3, 5),
+        ],
+        ids=["three-groups-s12", "tied-middle-s37", "one-sample", "two-pairs-s5"],
+    )
+    def test_exact_law_matches_per_sample_path(self, values, probs, alpha, s):
+        inst = make_instance(values, probs, alpha)
+        q = exact_tail_law(inst, s)
+        # The closed form of E W(C), against its definition as a sum over
+        # the binomial counts C of samples valued at least each group.
+        order = sorted(set(values), reverse=True)
+        at_least = [sum(p for v, p in zip(values, probs) if v >= x) for x in order]
+        mean_kept = [
+            sum(math.comb(s, c) * P**c * (1 - P) ** (s - c) * _kept_mass(c, s, alpha)
+                for c in range(s + 1))
+            for P in at_least
+        ]
+        group_law = np.diff(mean_kept, prepend=0.0) / ((1.0 - alpha) * s)
+        mass = np.diff(at_least, prepend=0.0)
+        want = [p * group_law[order.index(v)] / mass[order.index(v)] for v, p in zip(values, probs)]
+        np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
+        # The same lottery behind a plain batch draw takes the per-sample
+        # path; its tail frequencies must match q within sampling error.
+        sampled = dataclasses.replace(inst, prior=FairPrior(inst.prior.sample_many))
         n = 20000
-        fast = epsilon_mix_many(inst, 0.25, n, np.random.default_rng(13), n_samples=12)
-        slow = epsilon_mix_many(sampled, 0.25, n, np.random.default_rng(14), n_samples=12)
-        law_fast = empirical_law(fast, 6)
-        law_slow = empirical_law(slow, 6)
-        # Each empirical law is within ~sqrt(6/n) of the common true law.
-        assert tv_distance(law_fast, law_slow) < 0.04
+        outs = _tails_by_samples(sampled, s, n, np.random.default_rng(13))
+        freq = np.bincount(np.asarray(outs), minlength=len(values)) / n
+        assert np.all(np.abs(freq - q) <= 5.0 * np.sqrt(q * (1 - q) / n) + 1.0 / n)
 
     def test_many_without_explicit_prior_loops(self):
         seen = []
