@@ -271,7 +271,7 @@ class FairPrior:
     items are materialized only when indexed; :meth:`ValueFunction.many`
     values such a batch without materializing it.  :meth:`sample_many` is
     the batch draw and :meth:`sample` its first element, so one code path
-    serves both.  :meth:`from_sampler` adapts a scalar sampler by looping.
+    serves both.  Every scenario prior draws its whole batch in numpy.
 
     The exact oracles additionally need the lottery itself, supplied as
     ``explicit``; ``draw`` must then draw from it, as
@@ -287,11 +287,6 @@ class FairPrior:
     ):
         self._draw = draw
         self.explicit = explicit
-
-    @classmethod
-    def from_sampler(cls, sampler: Callable[[np.random.Generator], Any]) -> "FairPrior":
-        """Prior from a scalar sampler; a batch calls it once per draw."""
-        return cls(lambda rng, n: [sampler(rng) for _ in range(n)])
 
     @classmethod
     def from_distribution(cls, dist: Distribution) -> "FairPrior":

@@ -23,6 +23,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .assignment import (
+    AssignmentSolution,
+    BipartiteInstance,
     RoundRobinSampler,
     greedy_matching,
     max_matching,
@@ -164,14 +166,12 @@ def _round_rng(seed: int, ai: int, bi: int, ri: int) -> np.random.Generator:
 
 
 def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
-    """Construct the scenario's instance factory (deterministic given seed)."""
+    """Build the scenario's instance once (deterministic given seed); its
+    factory derives each alpha's instance from it."""
     rng = _scenario_rng(config.seed)
     if config.scenario == "synthetic":
         inst = synthetic_instance(config.n_left, config.n_right, rng)
-        best = max_matching(inst)
-        value = utilitarian_value(inst)
-        sampler = RoundRobinSampler(inst)
-        mechanism = WelfareMechanism.constant(best, lam=1.0)
+        instance = _round_robin_instance(inst, max_matching(inst), lam=1.0)
         info = {"n_left": inst.n_left, "n_right": inst.n_right, "mechanism": "max_matching"}
     elif config.scenario == "bids":
         path = config.input_path or bundled_data_path("mini_bids.csv")
@@ -179,10 +179,7 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
         inst = bids_to_instance(corpus, demand=3)
         # Greedy selection on a two-sided constraint system keeps at least
         # half the optimal weight, hence the declared factor 1/2.
-        best = greedy_matching(inst)
-        value = utilitarian_value(inst)
-        sampler = RoundRobinSampler(inst)
-        mechanism = WelfareMechanism.constant(best, lam=0.5)
+        instance = _round_robin_instance(inst, greedy_matching(inst), lam=0.5)
         info = {
             "n_left": inst.n_left,
             "n_right": inst.n_right,
@@ -196,6 +193,7 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
         # the one-hot block, so panel costs (and hence values) stay in a
         # readable range on small clouds.
         points = parse_demographics(path, dataclasses.replace(ADULT_FEATURES, scale=True))
+        instance = sortition_fwi_instance(points, config.panel_size, 0.0, rng)
         info = {
             "n_points": int(points.shape[0]),
             "dim": int(points.shape[1]),
@@ -203,19 +201,22 @@ def build_scenario(config: ExperimentConfig) -> ScenarioBundle:
             "mechanism": "kmeanspp_select",
         }
 
-        def make_sortition(alpha: float) -> InterpolationInstance:
-            return sortition_fwi_instance(
-                points, config.panel_size, alpha, _scenario_rng(config.seed)
-            )
-
-        return ScenarioBundle(name="sortition", make_instance=make_sortition, info=info)
-
-    prior = FairPrior(sampler.sample_many)
-
     def make(alpha: float) -> InterpolationInstance:
-        return InterpolationInstance(value=value, prior=prior, mechanism=mechanism, alpha=alpha)
+        return dataclasses.replace(instance, alpha=alpha)
 
     return ScenarioBundle(name=config.scenario, make_instance=make, info=info)
+
+
+def _round_robin_instance(
+    inst: BipartiteInstance, best: AssignmentSolution, lam: float
+) -> InterpolationInstance:
+    """Round-robin prior, edge-sum value, a mechanism that returns ``best``."""
+    return InterpolationInstance(
+        value=utilitarian_value(inst),
+        prior=FairPrior(RoundRobinSampler(inst).sample_many),
+        mechanism=WelfareMechanism.constant(best, lam=lam),
+        alpha=0.0,
+    )
 
 
 def run_sweep_on(bundle: ScenarioBundle, config: ExperimentConfig) -> SweepResult:

@@ -13,11 +13,13 @@ Two panel mechanisms are provided: a k-means++ style seeding
 perturbation mechanism (:class:`RandomReplaceSampler`) that swaps most of
 a fixed reference panel for random nearby candidates, serving as the fair
 prior: every candidate close to the reference panel has a chance to serve.
+It draws whole batches (:class:`PanelBatch`), valued in one numpy pass.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import dataclasses
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -31,6 +33,19 @@ from .core import (
 )
 
 Panel = tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PanelBatch:
+    """``n`` panels as the sorted rows of one ``(n, k)`` int array; indexing gives a Panel."""
+
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return self.members.shape[0]
+
+    def __getitem__(self, i: int) -> Panel:
+        return tuple(self.members[i].tolist())
 
 
 def _check_panel(panel: Sequence[int], n_pool: int) -> np.ndarray:
@@ -62,6 +77,36 @@ def panel_cost(panel: Sequence[int], points: np.ndarray) -> float:
     return float(d2.min(axis=1).sum())
 
 
+class _PanelValue(ValueFunction):
+    """Panel value, computed for a whole :class:`PanelBatch` at once."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: np.ndarray):
+        super().__init__(lambda panel: float(np.exp(-panel_cost(panel, points) / len(points))))
+        self.points = points
+
+    def many(self, solutions: Sequence[Any]) -> np.ndarray:
+        """Per row chunk of about 32k floats, a running ``np.minimum`` over one
+        ``cdist`` of the distinct members: bit-identical to :func:`panel_cost`."""
+        if not isinstance(solutions, PanelBatch):
+            return super().many(solutions)
+        n_pool = len(self.points)
+        distinct = np.unique(solutions.members)
+        d2 = cdist(self.points[distinct], self.points, metric="sqeuclidean")
+        row_of = np.empty(n_pool, dtype=np.intp)
+        row_of[distinct] = np.arange(distinct.size)
+        cost = np.empty(len(solutions))
+        step = max(1, 32_768 // n_pool)
+        for lo in range(0, cost.size, step):
+            rows = row_of[solutions.members[lo : lo + step]]
+            nearest = d2[rows[:, 0]]
+            for col in rows.T[1:]:
+                np.minimum(nearest, d2[col], out=nearest)
+            cost[lo : lo + step] = nearest.sum(axis=1)
+        return np.exp(-cost / n_pool)
+
+
 def likelihood_value(points: np.ndarray) -> ValueFunction:
     """Panel value ``exp(-panel_cost / n_pool)``.
 
@@ -70,13 +115,7 @@ def likelihood_value(points: np.ndarray) -> ValueFunction:
     keeps the exponent bounded, so the value never underflows and ordering
     between panels is preserved.
     """
-    pts = _check_points(points)
-    n_pool = pts.shape[0]
-
-    def value(panel: Sequence[int]) -> float:
-        return float(np.exp(-panel_cost(panel, pts) / n_pool))
-
-    return ValueFunction(value)
+    return _PanelValue(_check_points(points))
 
 
 def kmeanspp_select(points: np.ndarray, k: int, rng: np.random.Generator) -> Panel:
@@ -121,12 +160,12 @@ def default_replace_count(k: int) -> int:
 class RandomReplaceSampler:
     """Panel lottery perturbing a fixed reference panel.
 
-    Each sample picks ``q`` reference members uniformly at random and
-    replaces each with a uniform draw from that member's ``q`` nearest
-    other pool points (ties broken by index ascending).  A draw that
-    collides with a current panel member is redrawn from the remaining
-    neighbors; if all neighbors collide the member is kept unchanged, so
-    panels always keep their size and distinctness.
+    Each sample visits ``q`` uniformly chosen reference positions in
+    ascending order and tries that member's ``q`` nearest other pool points
+    (``neighbors[pos]``, ties to the lower index) in uniformly random order,
+    swapping in the first one not on the current panel: a member displaced
+    earlier may come back, one not yet visited blocks.  If every neighbor
+    collides the member is kept.  :meth:`sample` is :meth:`sample_many`'s row.
     """
 
     def __init__(self, points: np.ndarray, initial: Sequence[int], q: int | None = None):
@@ -137,43 +176,38 @@ class RandomReplaceSampler:
         self.q = default_replace_count(k) if q is None else int(q)
         if not 0 <= self.q <= k:
             raise ParameterError(f"replace count must lie in [0, {k}], got {self.q!r}")
-        self.neighbors = self._neighbor_lists()
+        self.neighbors = self._neighbor_table()
 
-    def _neighbor_lists(self) -> dict[int, np.ndarray]:
-        """The ``q`` nearest other pool points of each reference member."""
-        pts = self.points
-        n_pool = pts.shape[0]
-        if self.q > n_pool - 1:
+    def _neighbor_table(self) -> np.ndarray:
+        """``(k, q)``: the ``q`` nearest other pool points of each reference member."""
+        pts, others = self.points, len(self.points) - 1
+        if self.q > others:
             raise ParameterError(
-                f"replace count {self.q} needs {self.q} neighbors but pool has {n_pool - 1} others"
+                f"replace count {self.q} needs {self.q} neighbors but pool has {others} others"
             )
-        out: dict[int, np.ndarray] = {}
-        if self.q == 0:
-            return {m: np.empty(0, dtype=np.int64) for m in self.initial}
-        member_arr = np.array(self.initial, dtype=np.int64)
-        dists = cdist(pts[member_arr], pts, metric="sqeuclidean")
-        for row, m in enumerate(member_arr):
-            order = np.lexsort((np.arange(n_pool), dists[row]))
-            order = order[order != m]
-            out[int(m)] = order[: self.q].astype(np.int64)
-        return out
+        dists = cdist(pts[list(self.initial)], pts, metric="sqeuclidean")
+        dists[np.arange(len(self.initial)), self.initial] = np.inf  # not its own neighbor
+        return np.argsort(dists, axis=1, kind="stable")[:, : self.q]
 
     def sample(self, rng: np.random.Generator) -> Panel:
-        k = len(self.initial)
-        current = set(self.initial)
-        to_replace = sorted(rng.choice(k, size=self.q, replace=False).tolist())
-        for pos in to_replace:
-            member = self.initial[pos]
-            candidates = self.neighbors[member]
-            replacement = None
-            for cand in rng.permutation(candidates):
-                if int(cand) not in current:
-                    replacement = int(cand)
-                    break
-            if replacement is not None:
-                current.discard(member)
-                current.add(replacement)
-        return tuple(sorted(current))
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(self, rng: np.random.Generator, n: int) -> PanelBatch:
+        """``n`` independent draws as one :class:`PanelBatch`: one ``rng.permuted``
+        call draws all positions, one per step all candidate orders."""
+        k, q = len(self.initial), self.q
+        small = np.min_scalar_type(k)  # positions and tries index at most k entries
+        order = rng.permuted(np.broadcast_to(np.arange(k, dtype=small), (n, k)), axis=1)
+        positions = np.sort(order[:, :q], axis=1)
+        tries = np.broadcast_to(np.arange(q, dtype=small), (n, q))
+        members = np.tile(np.array(self.initial, dtype=np.intp), (n, 1))
+        for pos in positions.T:
+            cand = self.neighbors[pos[:, None], rng.permuted(tries, axis=1)]
+            free = ~(cand[:, :, None] == members[:, None, :]).any(axis=2)
+            swap = np.flatnonzero(free.any(axis=1))  # rows where some candidate is free
+            members[swap, pos[swap]] = cand[swap, free[swap].argmax(axis=1)]
+        members.sort(axis=1)
+        return PanelBatch(members)
 
 
 def sortition_fwi_instance(
@@ -197,7 +231,7 @@ def sortition_fwi_instance(
     mechanism = WelfareMechanism(lambda rng: kmeanspp_select(pts, n_k, rng), lam=1.0)
     return InterpolationInstance(
         value=likelihood_value(pts),
-        prior=FairPrior.from_sampler(sampler.sample),
+        prior=FairPrior(sampler.sample_many),
         mechanism=mechanism,
         alpha=alpha,
     )

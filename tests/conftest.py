@@ -7,6 +7,7 @@ without global state.
 from __future__ import annotations
 
 import os
+from typing import Any, Callable
 
 import numpy as np
 
@@ -153,6 +154,33 @@ def round_robin_reference(instance: BipartiteInstance, orders) -> list[tuple[int
     return edges
 
 
+def random_replace_reference(sampler, positions, orders, events=None) -> tuple[int, ...]:
+    """The random-replace loop of :class:`fairmix.sortition.RandomReplaceSampler`
+    with its random choices given, kept as the batch sampler's law reference.
+
+    Visits ``positions`` in ascending order.  The step at a position tries
+    that member's neighbours in the order ``orders[t]`` (``t`` counting the
+    steps) and swaps in the first one not on the current panel; if every
+    one is, the member stays.  ``events``, a ``Counter`` if given, counts
+    ``"reentry"`` (a reference member displaced earlier comes back) and
+    ``"kept"`` (every candidate collided).
+    """
+    current = set(sampler.initial)
+    for pos, order in zip(sorted(int(p) for p in positions), orders):
+        member = sampler.initial[pos]
+        for cand in sampler.neighbors[pos][order]:
+            if int(cand) not in current:
+                current.discard(member)
+                current.add(int(cand))
+                if events is not None and int(cand) in sampler.initial:
+                    events["reentry"] += 1
+                break
+        else:
+            if events is not None:
+                events["kept"] += 1
+    return tuple(sorted(current))
+
+
 class RecordingGenerator:
     """Delegates to a numpy ``Generator`` and keeps a copy of every
     ``permuted`` result, so a batch's per-pass agent orders can be replayed."""
@@ -171,9 +199,14 @@ class RecordingGenerator:
         return [p[row] for p in self.permutations]
 
 
+def prior_from_sampler(sampler: Callable[[np.random.Generator], Any]) -> FairPrior:
+    """Prior from a scalar sampler ``sampler(rng)``; a batch calls it once per draw."""
+    return FairPrior(lambda rng, n: [sampler(rng) for _ in range(n)])
+
+
 def unit_round_robin_reference_prior(instance: BipartiteInstance) -> FairPrior:
     """The reference loop behind a prior: one uniform agent order per draw."""
-    return FairPrior.from_sampler(
+    return prior_from_sampler(
         lambda rng: unit_round_robin_reference(instance, rng.permutation(instance.n_left))
     )
 

@@ -378,6 +378,28 @@ def test_12_cli_determinism(tmp_path):
                 ],
             ),
             (
+                # Seed 0's one round is a tail, so the batched random-replace
+                # prior draws and values its 4,794 panels.
+                "panels.csv",
+                [
+                    "sweep",
+                    "--scenario",
+                    "sortition",
+                    "--algorithm",
+                    "epsilon_mix",
+                    "--epsilon",
+                    "0.1",
+                    "--alpha-grid",
+                    "0.5",
+                    "--rounds",
+                    "1",
+                    "--batches",
+                    "1",
+                    "--seed",
+                    "0",
+                ],
+            ),
+            (
                 "report.txt",
                 [
                     "oracle-check",

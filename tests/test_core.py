@@ -20,7 +20,7 @@ from fairmix.core import (
     tv_distance,
 )
 
-from conftest import make_instance, random_simplex
+from conftest import make_instance, prior_from_sampler, random_simplex
 
 
 class TestDistribution:
@@ -202,7 +202,7 @@ class TestFairPrior:
         assert all(prior.sample(rng) in (3, 9) for _ in range(20))
 
     def test_sample_many_falls_back_to_loop(self):
-        prior = FairPrior.from_sampler(lambda rng: 42)
+        prior = prior_from_sampler(lambda rng: 42)
         out = prior.sample_many(np.random.default_rng(0), 5)
         assert list(out) == [42] * 5
 

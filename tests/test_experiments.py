@@ -13,14 +13,18 @@ from fairmix.experiments import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_SCHEDULE,
     ExperimentConfig,
+    _scenario_rng,
     build_scenario,
+    bundled_data_path,
     emit_csv,
     oracle_preset_instance,
     run_oracle_check,
     run_sweep,
 )
+from fairmix.ingest import ADULT_FEATURES, parse_demographics
 from fairmix.mix import sample_size, simple_mix_many
 from fairmix.oracle import build_p_opt, v_p_opt
+from fairmix.sortition import sortition_fwi_instance
 
 
 SMALL_GRID = (0.2, 0.5, 0.8)
@@ -124,6 +128,22 @@ class TestSweep:
         res = run_sweep(cfg)
         assert len(res.rows) == 3
         assert all(0.0 < row.mean_score <= 1.0 for row in res.rows)
+
+    def test_sortition_instance_built_once(self):
+        # One reference panel and neighbour table serve every alpha, and it
+        # is the one a fresh per-alpha build from the scenario seed gives.
+        cfg = small_config(scenario="sortition", panel_size=6)
+        bundle = build_scenario(cfg)
+        low, high = bundle.make_instance(0.2), bundle.make_instance(0.8)
+        assert low.prior is high.prior and (low.alpha, high.alpha) == (0.2, 0.8)
+        points = parse_demographics(
+            bundled_data_path("demo_demographics.csv"),
+            dataclasses.replace(ADULT_FEATURES, scale=True),
+        )
+        fresh = sortition_fwi_instance(points, 6, 0.8, _scenario_rng(cfg.seed))
+        for inst in (low, high):
+            got, want = (i.prior.sample_many(np.random.default_rng(5), 50) for i in (inst, fresh))
+            assert np.array_equal(got.members, want.members)
 
     def test_bids_scenario_runs(self):
         cfg = small_config(scenario="bids", n_rounds=4, n_batches=2)

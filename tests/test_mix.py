@@ -41,7 +41,12 @@ from fairmix.mix import (
     trim_weights,
 )
 
-from conftest import make_instance, random_instance, unit_round_robin_reference_prior
+from conftest import (
+    make_instance,
+    prior_from_sampler,
+    random_instance,
+    unit_round_robin_reference_prior,
+)
 
 
 def empirical_law(outputs, n_solutions: int) -> Distribution:
@@ -143,7 +148,7 @@ class TestEpsilonMix:
             calls.append(1)
             return 0
 
-        prior = FairPrior.from_sampler(sampler)
+        prior = prior_from_sampler(sampler)
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
             prior=prior,
@@ -190,7 +195,7 @@ class TestEpsilonMix:
         values = {(0,): 0.0, (1,): 1.0, (2,): 1.0, "mechanism": 1.0}
         inst = InterpolationInstance(
             value=ValueFunction(values.__getitem__),
-            prior=FairPrior.from_sampler(lambda rng: next(draws)),
+            prior=prior_from_sampler(lambda rng: next(draws)),
             mechanism=WelfareMechanism.constant("mechanism"),
             alpha=0.7,
         )
@@ -320,7 +325,7 @@ class TestBatchPathLawEquivalence:
             seen.append(1)
             return int(rng.integers(2))
 
-        prior = FairPrior.from_sampler(sampler)
+        prior = prior_from_sampler(sampler)
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
             prior=prior,

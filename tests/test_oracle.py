@@ -34,6 +34,7 @@ from fairmix.mix import simple_mix_distribution
 from conftest import (
     build_p_opt_reference,
     make_instance,
+    prior_from_sampler,
     random_instance,
     random_simplex,
     tv_distance_reference,
@@ -190,11 +191,11 @@ class TestEstimateOutputLaw:
             estimate_output_law("other", inst, 10, np.random.default_rng(0))
 
     def test_requires_explicit_prior(self):
-        from fairmix.core import FairPrior, InterpolationInstance, WelfareMechanism
+        from fairmix.core import InterpolationInstance, WelfareMechanism
 
         inst = InterpolationInstance(
             value=ValueFunction.from_array([1.0, 2.0]),
-            prior=FairPrior.from_sampler(lambda rng: 0),
+            prior=prior_from_sampler(lambda rng: 0),
             mechanism=WelfareMechanism.constant(1),
             alpha=0.5,
         )

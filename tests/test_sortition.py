@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from conftest import RecordingGenerator, random_replace_reference
 from fairmix.core import ParameterError
 from fairmix.experiments import bundled_data_path
 from fairmix.ingest import ADULT_FEATURES, parse_demographics
 from fairmix.sortition import (
+    PanelBatch,
     RandomReplaceSampler,
     default_replace_count,
     kmeanspp_select,
@@ -169,6 +173,128 @@ class TestRandomReplace:
         initial = tuple(range(5))
         out = RandomReplaceSampler(points, initial, q=3).sample(np.random.default_rng(61))
         assert out == initial
+
+
+@pytest.fixture(scope="module")
+def bundled_sampler(cloud) -> RandomReplaceSampler:
+    """The sweep's prior shape: bundled pool, k = 10, default q = 7."""
+    sampler = RandomReplaceSampler(cloud, kmeanspp_select(cloud, 10, np.random.default_rng(70)))
+    assert sampler.q == 7
+    return sampler
+
+
+def clustered_sampler(seed: int) -> RandomReplaceSampler:
+    """Three tight clusters of six with 15 of the 18 points on the panel, so
+    neighbour lists are full of other reference members."""
+    rng = np.random.default_rng(seed)
+    points = np.vstack([rng.normal(c, 0.05, (6, 2)) for c in ((0, 0), (3, 0), (0, 3))])
+    initial = rng.choice(points.shape[0], size=15, replace=False)
+    return RandomReplaceSampler(points, initial, q=6)
+
+
+def duplicate_sampler(seed: int) -> RandomReplaceSampler:
+    """Eight locations, three copies each, 16 of the 24 points on the panel:
+    a member's nearest neighbours are its own copies, often seated."""
+    rng = np.random.default_rng(seed)
+    points = np.repeat(rng.random((8, 3)), 3, axis=0)
+    initial = rng.choice(points.shape[0], size=16, replace=False)
+    return RandomReplaceSampler(points, initial, q=7)
+
+
+def replay(sampler: RandomReplaceSampler, n: int, seed: int, events=None):
+    """A batch and, row by row, the reference loop on the batch's own
+    recorded positions and candidate orders."""
+    rec = RecordingGenerator(np.random.default_rng(seed))
+    batch = sampler.sample_many(rec, n)
+    position_orders, *step_orders = rec.permutations
+    want = [
+        random_replace_reference(
+            sampler, position_orders[i, : sampler.q], [o[i] for o in step_orders], events
+        )
+        for i in range(n)
+    ]
+    return batch, want
+
+
+class TestRandomReplaceBatch:
+    def test_bundled_rows_replay_exactly(self, bundled_sampler):
+        batch, want = replay(bundled_sampler, 3196, seed=71)
+        assert isinstance(batch, PanelBatch) and len(batch) == 3196
+        assert batch.members.shape == (3196, 10)
+        assert [batch[i] for i in range(len(batch))] == want
+
+    @pytest.mark.parametrize(
+        "make, seed", [(clustered_sampler, 72), (clustered_sampler, 73), (duplicate_sampler, 74),
+                       (duplicate_sampler, 75)]
+    )
+    def test_collision_rows_replay_exactly(self, make, seed):
+        sampler = make(seed)
+        events = Counter()
+        batch, want = replay(sampler, 2000, seed=seed + 100, events=events)
+        assert [batch[i] for i in range(len(batch))] == want
+        # Both collision rules are exercised: a displaced reference member
+        # re-enters, and every candidate is seated so the member stays.
+        assert events["reentry"] > 0 and events["kept"] > 0
+
+    @pytest.mark.parametrize("q", [0, 1, 5])
+    def test_edge_replace_counts_replay(self, q):
+        points = np.random.default_rng(76).random((12, 2))
+        sampler = RandomReplaceSampler(points, (0, 2, 3, 7, 11), q=q)  # q = 5 is q = k
+        batch, want = replay(sampler, 500, seed=77)
+        assert [batch[i] for i in range(len(batch))] == want
+        if q == 0:
+            assert set(want) == {sampler.initial}
+
+    def test_empty_batch(self, bundled_sampler, cloud):
+        batch = bundled_sampler.sample_many(np.random.default_rng(78), 0)
+        assert len(batch) == 0 and batch.members.shape == (0, 10)
+        assert likelihood_value(cloud).many(batch).shape == (0,)
+
+    def test_sample_is_first_row_of_batch_of_one(self, bundled_sampler):
+        for seed in range(20):
+            one = bundled_sampler.sample(np.random.default_rng(seed))
+            assert one == bundled_sampler.sample_many(np.random.default_rng(seed), 1)[0]
+
+    def test_draw_and_value_memory(self, bundled_sampler, cloud):
+        # A tail batch at the sweep grid's largest sample size stays small:
+        # no (n, n_pool) membership mask and no n_pool x n_pool distances.
+        value = likelihood_value(cloud)
+        rng = np.random.default_rng(79)
+        tracemalloc.start()
+        try:
+            value.many(bundled_sampler.sample_many(rng, 9588))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
+
+
+class TestPanelValueBatch:
+    @staticmethod
+    def scalar(value, panels) -> np.ndarray:
+        return np.array([value(p) for p in panels])
+
+    def test_batch_values_bit_identical(self, bundled_sampler, cloud):
+        value = likelihood_value(cloud)
+        for n, seed in ((4794, 80), (5000, 81)):
+            batch = bundled_sampler.sample_many(np.random.default_rng(seed), n)
+            got = value.many(batch)
+            assert np.array_equal(got, self.scalar(value, batch))
+            costs = np.array([panel_cost(batch[i], cloud) for i in range(n)])
+            assert np.array_equal(got, np.exp(-costs / cloud.shape[0]))
+
+    def test_repeated_panels_and_one_row(self, bundled_sampler, cloud):
+        value = likelihood_value(cloud)
+        members = bundled_sampler.sample_many(np.random.default_rng(82), 3).members
+        repeated = PanelBatch(np.repeat(members, 4, axis=0))
+        assert np.array_equal(value.many(repeated), self.scalar(value, repeated))
+        one = PanelBatch(members[1:2])
+        assert np.array_equal(value.many(one), self.scalar(value, one))
+
+    def test_list_of_panels_valued_one_by_one(self, cloud):
+        value = likelihood_value(cloud)
+        panels = [(0, 5, 9), (1, 2, 3, 4)]
+        assert np.array_equal(value.many(panels), self.scalar(value, panels))
 
 
 class TestFwiWiring:
