@@ -39,7 +39,6 @@ from .oracle import (
     check_guarantees,
     check_individual_fairness,
     estimate_output_law,
-    grid_search_value,
     smix_lower_bound,
     v_p_opt,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "epsilon_mix",
     "estimate_output_law",
     "expected_value",
-    "grid_search_value",
     "is_alpha_fair",
     "sample_size",
     "simple_mix",

@@ -177,18 +177,6 @@ def utilitarian_value(instance: BipartiteInstance) -> ValueFunction:
     return _EdgeSumValue(instance)
 
 
-def nash_value(utilities: np.ndarray) -> ValueFunction:
-    """Value function over solution ids from a per-agent utility table.
-
-    ``utilities[a, i]`` is agent ``a``'s utility under solution ``i``; the
-    value of solution ``i`` is the geometric mean of column ``i``.
-    """
-    table = np.asarray(utilities, dtype=float)
-    if table.ndim != 2 or table.size == 0:
-        raise ParameterError("utilities must be a non-empty agents x solutions table")
-    return ValueFunction.from_array([nash_welfare(table[:, i]) for i in range(table.shape[1])])
-
-
 def synthetic_instance(
     n_left: int, n_right: int, rng: np.random.Generator
 ) -> BipartiteInstance:
@@ -286,7 +274,7 @@ class RoundRobinSampler:
     ``n_right`` agents of the order receive an item, so the batch is
     drawn by :func:`ordered_subsets` and :func:`serial_dictatorship_picks`.
     Otherwise :func:`round_robin_picks` runs the passes for every row at
-    once.
+    once, advancing one rank pointer per row and agent.
     """
 
     def __init__(self, instance: BipartiteInstance):
@@ -312,45 +300,70 @@ def round_robin_picks(
     in pick order.
 
     Every pass draws one agent order per row with a single
-    ``rng.permuted`` call, and each turn is one step over all rows.  An
-    agent's items rank by affinity descending, ties to the lowest index.
-    Everything it holds ranks before its last pick, and every item ranked
-    before that pick was already full then and stays full, so its next
-    pick is the open item of lowest rank after its last one: an
-    ``argmin`` over ranks, with no held-item set.  The working state is
-    ``O(n * (n_left + n_right))``.  Raises :class:`InfeasibleError` when
-    a row goes a whole pass without a pick.
+    ``rng.permuted`` call, and each turn is one step over the rows that are
+    not full and whose turn agent is below its cap.  ``pref[a]`` lists agent
+    ``a``'s items by affinity descending, ties to the lowest index, then a
+    sentinel that never fills.  Everything an agent holds ranks before its
+    last pick, and every item ranked before that pick was full then and
+    stays full, so its next pick is the first open item at or after a rank
+    pointer one past its last pick.  A turn moves each acting row's pointer
+    past full items, takes ``pref[a, ptr]`` unless it is the sentinel, and
+    steps past it.  The state is flat per-row vectors, ``ptr`` and ``load``
+    at ``row * n_left + agent`` and ``remaining`` at ``row * (n_right + 1) +
+    item``, in the narrowest integer type that holds ``demand`` and
+    ``n_right + 1``.  Raises :class:`InfeasibleError` when a row goes a whole
+    pass without a pick.
     """
     L, R, cap = instance.n_left, instance.n_right, instance.load_cap
-    m = R * instance.demand
-    rank = np.argsort(np.argsort(-instance.weights, axis=1, kind="stable"), axis=1)
-    remaining = np.full((n, R), instance.demand)
-    load = np.zeros((n, L), dtype=np.intp)
-    start = np.zeros((n, L), dtype=np.intp)  # rank after the agent's last pick
-    agents = np.empty((n, m), dtype=np.intp)
-    items = np.empty((n, m), dtype=np.intp)
+    m, width = R * instance.demand, R + 1
+    pref = np.full((L, width), R, dtype=np.intp)
+    pref[:, :R] = np.argsort(-instance.weights, axis=1, kind="stable")
+    pref = pref.ravel()
+    counter = np.min_scalar_type(max(instance.demand, width))
+    remaining = np.full(n * width, instance.demand, dtype=counter)
+    ptr = np.zeros(n * L, dtype=counter)
+    load = np.zeros(n * L, dtype=counter)
+    agents = np.empty(n * m, dtype=np.intp)
+    items = np.empty(n * m, dtype=np.intp)
     filled = np.zeros(n, dtype=np.intp)
-    rows = np.arange(n)
-    while (filled < m).any():
+    open_rows = np.arange(n)
+    while open_rows.size:
         orders = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
-        moved = filled == m
-        for turn in orders.T:
-            ranks = rank[turn]
-            key = np.where((remaining > 0) & (ranks >= start[rows, turn, None]), ranks, R)
-            pick = key.argmin(axis=1)
-            q = key[rows, pick]
-            got = np.flatnonzero((q < R) & (filled < m) & (load[rows, turn] < cap))
-            a, pick = turn[got], pick[got]
-            agents[got, filled[got]] = a
-            items[got, filled[got]] = pick
-            start[got, a] = q[got] + 1
-            load[got, a] += 1
-            remaining[got, pick] -= 1
-            filled[got] += 1
-            moved[got] = True
-        if not moved.all():
+        pass_rows, before = open_rows, filled[open_rows]
+        for turn in orders.T.copy():
+            rows = open_rows
+            a = turn[rows]
+            slot = rows * L + a
+            held = load[slot]
+            act = held < cap
+            if not act.all():
+                rows, a, slot, held = rows[act], a[act], slot[act], held[act]
+            base, cell = a * width, rows * width
+            p = ptr[slot]
+            j = pref[base + p]
+            full = np.flatnonzero(remaining[cell + j] == 0)
+            while full.size:
+                p[full] += 1
+                j[full] = pref[base[full] + p[full]]
+                full = full[remaining[cell[full] + j[full]] == 0]
+            got = j < R
+            ptr[slot] = p + got
+            if not got.all():
+                rows, a, slot, held, cell, j = (
+                    rows[got], a[got], slot[got], held[got], cell[got], j[got]
+                )
+            picks = filled[rows]
+            at = rows * m + picks
+            agents[at] = a
+            items[at] = j
+            load[slot] = held + 1
+            remaining[cell + j] -= 1
+            filled[rows] = picks = picks + 1
+            if (picks == m).any():
+                open_rows = open_rows[filled[open_rows] < m]
+        if (filled[pass_rows] == before).any():
             raise InfeasibleError("round robin deadlocked before meeting demand")
-    return agents, items
+    return agents.reshape(n, m), items.reshape(n, m)
 
 
 def ordered_subsets(rng: np.random.Generator, L: int, R: int, n: int) -> np.ndarray:

@@ -97,15 +97,6 @@ def parse_bids(path: str) -> BidCorpus:
     return BidCorpus(reviewers=reviewers, papers=papers, labels=labels)
 
 
-def write_bids(corpus: BidCorpus, path: str) -> None:
-    """Serialize a corpus back to bid CSV (sorted, with header)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_BID_HEADER)
-        for (reviewer, paper), label in sorted(corpus.labels.items()):
-            writer.writerow([reviewer, paper, label])
-
-
 def bids_to_instance(
     corpus: BidCorpus, demand: int = 3, load_cap: int | None = None
 ) -> BipartiteInstance:
@@ -221,12 +212,3 @@ def read_demographic_table(path: str, config: FeatureConfig = ADULT_FEATURES) ->
 def parse_demographics(path: str, config: FeatureConfig = ADULT_FEATURES) -> np.ndarray:
     """Point cloud from a demographic CSV: deduplicated, one-hot encoded."""
     return read_demographic_table(path, config).points()
-
-
-def write_demographics(table: DemographicTable, path: str) -> None:
-    """Serialize a projected table back to CSV (header, sorted rows)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.config.columns)
-        for row in table.rows:
-            writer.writerow(row)

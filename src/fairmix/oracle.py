@@ -11,8 +11,7 @@ The optimal lottery has a simple structure: starting from the prior,
 remove ``alpha`` probability mass from the lowest-valued support
 solutions upward, then place the removed mass on a welfare-maximizing
 solution.  :func:`build_p_opt` materializes this construction together
-with the mass decomposition it induces; :func:`grid_search_value` is an
-independent exhaustive check of its optimality over a probability grid.
+with the mass decomposition it induces.
 """
 
 from __future__ import annotations
@@ -339,65 +338,3 @@ def check_individual_fairness(
         if np.any(u_mix < (1.0 - alpha) * u_prior - atol * scale):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# independent exhaustive oracle
-
-
-def grid_search_value(
-    prior: Distribution,
-    value: ValueFunction,
-    alpha: float,
-    resolution: float = 0.02,
-) -> float:
-    """Maximum value over *grid* lotteries within the fairness budget.
-
-    Exhausts (by dynamic programming over mass and deviation units) all
-    lotteries whose probabilities are multiples of ``resolution``, keeping
-    those within total-variation ``alpha`` of the prior, and returns the
-    best value found.  Exact, but requires the prior's probabilities to be
-    multiples of ``resolution`` and an array-backed value function.
-    """
-    alpha = check_alpha(alpha)
-    if value.values is None:
-        raise ParameterError("grid search requires an enumerable (array-backed) value function")
-    if not 0.0 < resolution <= 1.0:
-        raise ParameterError(f"resolution must be a finite number in (0, 1], got {resolution!r}")
-    units = round(1.0 / resolution)
-    if units < 1 or abs(units * resolution - 1.0) > 1e-9:
-        raise ParameterError(f"resolution {resolution!r} must evenly divide 1")
-    vals = value.values
-    n = vals.size
-    _check_scale(n * units)
-
-    if prior.ids[-1] >= n:
-        raise ParameterError(f"prior support id {prior.ids[-1]} outside value domain of size {n}")
-    k = np.round(prior.probs / resolution)
-    off_grid = np.abs(k * resolution - prior.probs) > 1e-9
-    if off_grid.any():
-        bad = prior.ids[off_grid][0]
-        raise ParameterError(f"prior mass of solution {bad} is not a multiple of {resolution!r}")
-    prior_units = np.zeros(n, dtype=np.int64)
-    prior_units[prior.ids] = k
-
-    # Deviation is counted in grid units: placing u units on a solution with
-    # prior mass k contributes |u - k| units, and total variation is half the
-    # total deviation times the resolution.
-    dev_cap = min(2 * units, int(math.floor((2.0 * alpha + 2.0 * NORM_TOL) / resolution)))
-    neg = -np.inf
-    best = np.full((units + 1, dev_cap + 1), neg)
-    best[0, 0] = 0.0
-    for sid in range(n):
-        k = int(prior_units[sid])
-        step = np.full_like(best, neg)
-        for u in range(units + 1):
-            dev = abs(u - k)
-            if dev > dev_cap:
-                continue
-            gain = u * resolution * vals[sid]
-            src = best[: units + 1 - u, : dev_cap + 1 - dev]
-            dst = step[u:, dev:]
-            np.maximum(dst, src + gain, out=dst)
-        best = step
-    return float(best[units, :].max())

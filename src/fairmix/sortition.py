@@ -22,7 +22,6 @@ import dataclasses
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (
     FairPrior,
@@ -71,6 +70,8 @@ def _check_points(points: np.ndarray) -> np.ndarray:
 def panel_cost(panel: Sequence[int], points: np.ndarray) -> float:
     """Quantization cost: total squared distance from each pool point to
     its nearest panel member."""
+    from scipy.spatial.distance import cdist
+
     pts = _check_points(points)
     members = _check_panel(panel, pts.shape[0])
     d2 = cdist(pts, pts[members], metric="sqeuclidean")
@@ -91,6 +92,8 @@ class _PanelValue(ValueFunction):
         ``cdist`` of the distinct members: bit-identical to :func:`panel_cost`."""
         if not isinstance(solutions, PanelBatch):
             return super().many(solutions)
+        from scipy.spatial.distance import cdist
+
         n_pool = len(self.points)
         distinct = np.unique(solutions.members)
         d2 = cdist(self.points[distinct], self.points, metric="sqeuclidean")
@@ -185,6 +188,8 @@ class RandomReplaceSampler:
             raise ParameterError(
                 f"replace count {self.q} needs {self.q} neighbors but pool has {others} others"
             )
+        from scipy.spatial.distance import cdist
+
         dists = cdist(pts[list(self.initial)], pts, metric="sqeuclidean")
         dists[np.arange(len(self.initial)), self.initial] = np.inf  # not its own neighbor
         return np.argsort(dists, axis=1, kind="stable")[:, : self.q]

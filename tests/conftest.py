@@ -6,20 +6,33 @@ without global state.
 
 from __future__ import annotations
 
+import csv
+import math
 import os
 from typing import Any, Callable
 
 import numpy as np
 
 import fairmix
-from fairmix.assignment import AssignmentSolution, BipartiteInstance, InfeasibleError
+from fairmix.assignment import (
+    AssignmentSolution,
+    BipartiteInstance,
+    InfeasibleError,
+    nash_welfare,
+)
 from fairmix.core import (
+    NORM_TOL,
     Distribution,
     FairPrior,
     InterpolationInstance,
+    ParameterError,
+    ScaleError,
     ValueFunction,
     WelfareMechanism,
+    check_alpha,
 )
+from fairmix.ingest import BidCorpus, DemographicTable
+from fairmix.oracle import ORACLE_MAX_SOLUTIONS
 
 
 def subprocess_env() -> dict[str, str]:
@@ -250,3 +263,93 @@ def tv_distance_reference(p: Distribution, q: Distribution) -> float:
     """Set-union loop behind :func:`fairmix.core.tv_distance`, kept as its reference."""
     keys = set(p.as_dict()) | set(q.as_dict())
     return 0.5 * sum(abs(p[k] - q[k]) for k in keys)
+
+
+def nash_value(utilities: np.ndarray) -> ValueFunction:
+    """Value function over solution ids from a per-agent utility table.
+
+    ``utilities[a, i]`` is agent ``a``'s utility under solution ``i``; the
+    value of solution ``i`` is the geometric mean of column ``i``.
+    """
+    table = np.asarray(utilities, dtype=float)
+    if table.ndim != 2 or table.size == 0:
+        raise ParameterError("utilities must be a non-empty agents x solutions table")
+    return ValueFunction.from_array([nash_welfare(table[:, i]) for i in range(table.shape[1])])
+
+
+def write_bids(corpus: BidCorpus, path: str) -> None:
+    """Serialize a corpus back to bid CSV (sorted, with header)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("reviewer", "paper", "bid"))
+        for (reviewer, paper), label in sorted(corpus.labels.items()):
+            writer.writerow([reviewer, paper, label])
+
+
+def write_demographics(table: DemographicTable, path: str) -> None:
+    """Serialize a projected table back to CSV (header, sorted rows)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.config.columns)
+        for row in table.rows:
+            writer.writerow(row)
+
+
+def grid_search_value(
+    prior: Distribution,
+    value: ValueFunction,
+    alpha: float,
+    resolution: float = 0.02,
+) -> float:
+    """Maximum value over *grid* lotteries within the fairness budget: an
+    independent exhaustive check of :func:`fairmix.oracle.build_p_opt`.
+
+    Exhausts (by dynamic programming over mass and deviation units) all
+    lotteries whose probabilities are multiples of ``resolution``, keeping
+    those within total-variation ``alpha`` of the prior, and returns the
+    best value found.  Exact, but requires the prior's probabilities to be
+    multiples of ``resolution`` and an array-backed value function.
+    """
+    alpha = check_alpha(alpha)
+    if value.values is None:
+        raise ParameterError("grid search requires an enumerable (array-backed) value function")
+    if not 0.0 < resolution <= 1.0:
+        raise ParameterError(f"resolution must be a finite number in (0, 1], got {resolution!r}")
+    units = round(1.0 / resolution)
+    if units < 1 or abs(units * resolution - 1.0) > 1e-9:
+        raise ParameterError(f"resolution {resolution!r} must evenly divide 1")
+    vals = value.values
+    n = vals.size
+    if n * units > ORACLE_MAX_SOLUTIONS:
+        raise ScaleError(f"grid search over {n * units} cells exceeds {ORACLE_MAX_SOLUTIONS}")
+
+    if prior.ids[-1] >= n:
+        raise ParameterError(f"prior support id {prior.ids[-1]} outside value domain of size {n}")
+    k = np.round(prior.probs / resolution)
+    off_grid = np.abs(k * resolution - prior.probs) > 1e-9
+    if off_grid.any():
+        bad = prior.ids[off_grid][0]
+        raise ParameterError(f"prior mass of solution {bad} is not a multiple of {resolution!r}")
+    prior_units = np.zeros(n, dtype=np.int64)
+    prior_units[prior.ids] = k
+
+    # Deviation is counted in grid units: placing u units on a solution with
+    # prior mass k contributes |u - k| units, and total variation is half the
+    # total deviation times the resolution.
+    dev_cap = min(2 * units, int(math.floor((2.0 * alpha + 2.0 * NORM_TOL) / resolution)))
+    neg = -np.inf
+    best = np.full((units + 1, dev_cap + 1), neg)
+    best[0, 0] = 0.0
+    for sid in range(n):
+        k = int(prior_units[sid])
+        step = np.full_like(best, neg)
+        for u in range(units + 1):
+            dev = abs(u - k)
+            if dev > dev_cap:
+                continue
+            gain = u * resolution * vals[sid]
+            src = best[: units + 1 - u, : dev_cap + 1 - dev]
+            dst = step[u:, dev:]
+            np.maximum(dst, src + gain, out=dst)
+        best = step
+    return float(best[units, :].max())

@@ -42,7 +42,6 @@ from fairmix.mix import (
 from fairmix.oracle import (
     build_p_opt,
     check_individual_fairness,
-    grid_search_value,
     smix_lower_bound,
     v_p_opt,
 )
@@ -53,7 +52,7 @@ from fairmix.sortition import (
     panel_cost,
 )
 
-from conftest import dyadic_probs, make_instance, random_instance
+from conftest import dyadic_probs, grid_search_value, make_instance, random_instance
 from test_assignment import brute_force_max
 
 

@@ -16,7 +16,6 @@ from fairmix.assignment import (
     agent_utilities,
     greedy_matching,
     max_matching,
-    nash_value,
     nash_welfare,
     ordered_subsets,
     serial_dictatorship_picks,
@@ -28,7 +27,12 @@ from fairmix.core import Distribution, ParameterError, ScaleError, tv_distance
 from fairmix.experiments import bundled_data_path
 from fairmix.ingest import bids_to_instance, parse_bids
 
-from conftest import RecordingGenerator, round_robin_reference, unit_round_robin_reference
+from conftest import (
+    RecordingGenerator,
+    nash_value,
+    round_robin_reference,
+    unit_round_robin_reference,
+)
 
 DEADLOCK = "round robin deadlocked before meeting demand"
 
@@ -378,6 +382,12 @@ class TestGeneralBatchSampler:
             for k, inst in enumerate(tie_heavy_instances(rng, 48))
         ]
         assert deadlocked.count(False) >= 40
+
+    def test_demand_above_255_replays_reference(self):
+        # Each item needs all 300 agents, so every agent takes both items and
+        # the demand counters start above 255: an 8-bit counter breaks here.
+        inst = BipartiteInstance(np.random.default_rng(59).random((300, 2)), 300, 2)
+        assert not self.assert_replays_reference(inst, seed=60, n=20)
 
     def test_deadlock_raises_the_reference_error(self):
         # Agents 0 and 1 both rank item 0 then item 1; agent 2 wants item 2.

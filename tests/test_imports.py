@@ -1,5 +1,5 @@
-"""Import hygiene: fairmix runs without networkx, defers scipy.optimize and
-never loads scipy.stats."""
+"""Import hygiene: fairmix runs without networkx, defers scipy.optimize,
+scipy.special and scipy.spatial, and never loads scipy.stats."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import sys
 sys.modules["networkx"] = None  # any import of networkx now fails
 import fairmix.cli
 import fairmix.experiments
-assert "scipy.optimize" not in sys.modules, "importing fairmix loaded scipy.optimize"
+for name in ("scipy.optimize", "scipy.special", "scipy.spatial"):
+    assert name not in sys.modules, f"importing fairmix loaded {name}"
 import numpy as np
 from fairmix.core import Distribution, FairPrior, InterpolationInstance, ValueFunction
 from fairmix.core import WelfareMechanism

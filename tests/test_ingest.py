@@ -18,9 +18,9 @@ from fairmix.ingest import (
     parse_bids,
     parse_demographics,
     read_demographic_table,
-    write_bids,
-    write_demographics,
 )
+
+from conftest import write_bids, write_demographics
 
 
 def write_text(path, text: str) -> str:

@@ -25,7 +25,6 @@ from fairmix.oracle import (
     check_guarantees,
     check_individual_fairness,
     estimate_output_law,
-    grid_search_value,
     smix_lower_bound,
     v_p_opt,
 )
@@ -33,6 +32,7 @@ from fairmix.mix import simple_mix_distribution
 
 from conftest import (
     build_p_opt_reference,
+    grid_search_value,
     make_instance,
     prior_from_sampler,
     random_instance,
