@@ -272,9 +272,9 @@ class RoundRobinSampler:
     and :meth:`sample` is its first row.  With unit demand and cap this
     is random serial dictatorship: one pass suffices and only the first
     ``n_right`` agents of the order receive an item, so the batch is
-    drawn by :func:`ordered_subsets` and :func:`serial_dictatorship_picks`.
-    Otherwise :func:`round_robin_picks` runs the passes for every row at
-    once, advancing one rank pointer per row and agent.
+    drawn by :func:`ordered_subsets` and :func:`serial_dictatorship_picks`,
+    with no sort.  Otherwise :func:`round_robin_picks` runs the passes for
+    every row at once, advancing one rank pointer per row and agent.
     """
 
     def __init__(self, instance: BipartiteInstance):
@@ -372,14 +372,19 @@ def ordered_subsets(rng: np.random.Generator, L: int, R: int, n: int) -> np.ndar
 
     Column ``t`` draws its rank among the ``L - t`` values not yet in the
     row, then shifts the rank past the row's earlier values in ascending
-    order, which maps it onto the rank-th free value.
+    order, which maps it onto the rank-th free value.  ``asc`` keeps the
+    earlier values ascending by one ``minimum``/``maximum`` insertion each.
     """
     out = np.empty((n, R), dtype=np.intp)
+    asc = np.empty((R, n), dtype=np.intp)
     for t in range(R):
         r = rng.integers(0, L - t, n)
-        for earlier in np.sort(out[:, :t], axis=1).T:
+        for earlier in asc[:t]:
             r += r >= earlier
         out[:, t] = r
+        for earlier in asc[:t]:
+            earlier[...], r = np.minimum(earlier, r), np.maximum(earlier, r)
+        asc[t] = r
     return out
 
 
@@ -388,15 +393,18 @@ def serial_dictatorship_picks(weights: np.ndarray, agents: np.ndarray) -> np.nda
 
     ``agents`` has shape ``(n, m)`` with ``m <= weights.shape[1]``; each
     agent takes its highest-weight free item, ties to the lowest item
-    index (``argmax`` returns the first maximum).  Weights are
-    non-negative, so ``-1`` masks taken items.
+    index.  Each turn steps every row's pointer into the flat preference
+    lists ``pref`` (at ``agent * R + rank``) past the row's items in ``taken``.
     """
-    n, m = agents.shape
-    rows = np.arange(n)
-    taken = np.zeros((n, weights.shape[1]), dtype=bool)
-    items = np.empty_like(agents)
+    (n, m), R = agents.shape, weights.shape[1]
+    pref = np.argsort(-weights, axis=1, kind="stable").ravel()
+    taken = np.zeros(n * R, dtype=bool)
+    cell = np.arange(n) * R
+    items = np.empty((m, n), dtype=agents.dtype)
     for t in range(m):
-        pick = np.where(taken, -1.0, weights[agents[:, t]]).argmax(axis=1)
-        taken[rows, pick] = True
-        items[:, t] = pick
-    return items
+        at = agents[:, t] * R
+        while (busy := taken[cell + pref[at]]).any():
+            at += busy
+        items[t] = j = pref[at]
+        taken[cell + j] = True
+    return items.T

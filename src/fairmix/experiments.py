@@ -101,6 +101,8 @@ class ExperimentConfig:
                 raise ParameterError(f"alpha grid values must lie in (0, 1], got {a!r}")
         if (self.epsilon is None) == (self.algorithm == "epsilon_mix"):
             raise ParameterError("epsilon is required for epsilon_mix and meaningless otherwise")
+        if self.n_eps_override is not None and self.algorithm != "epsilon_mix":
+            raise ParameterError("samples is meaningless without epsilon_mix")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         for field, low in (("n_rounds", 1), ("n_batches", 1), ("n_eps_override", 1)):

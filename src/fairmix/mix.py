@@ -5,7 +5,7 @@ high-welfare mechanism.  On tails they fall back toward the fair prior:
 
 * :func:`simple_mix` returns a single draw from the prior, giving the
   closed-form output lottery ``alpha * point_mass(A) + (1 - alpha) * prior``.
-* :func:`epsilon_mix` draws a batch of prior samples, sorts them by value
+* :func:`epsilon_mix` draws a batch of prior samples, ranks them by value
   (descending), removes an ``alpha`` fraction of the sample weight from the
   low-value tail, and picks one sample in proportion to the surviving
   weights.  The batch size grows like ``1 / ((1 - alpha) * epsilon**2)``
@@ -18,11 +18,11 @@ prior; for :func:`epsilon_mix` this holds for *any* sample count, so the
 
 Each algorithm is implemented once, in its ``_many`` form: flip ``n`` alpha
 coins, draw every tail, then run the mechanism for each head.  The single
-runs are the ``n = 1`` case.  :func:`epsilon_mix_many` draws, sorts, trims
-and picks one sample batch per tail; on an explicit prior it draws every
-tail from the exact law of that per-sample path instead.
+runs are the ``n = 1`` case.  :func:`epsilon_mix_many` draws, ranks, trims
+and picks one sample batch per tail, without a sort; on an explicit prior
+it draws every tail from the exact law of that per-sample path instead.
 
-Ties in value keep draw order in the sorted batch, so equal-valued
+Ties in value keep draw order in the ranked batch, so equal-valued
 solutions share tail mass in proportion to prior mass.  Both guarantees
 depend on values only: every kept weight is at most 1 whatever the order
 among equal values, so the total-variation bound holds, and the welfare
@@ -200,7 +200,7 @@ def epsilon_mix_many(
 
     On an explicit prior every tail is drawn with one ``rng.choice`` from
     the exact tail law (:func:`_tails_by_law`); otherwise each tail draws,
-    values, sorts, trims and picks its own sample batch.
+    values, ranks, trims and picks its own sample batch.
     """
     _check_epsilon(epsilon)
     if n_samples is not None and n_samples < 1:
@@ -223,15 +223,19 @@ def _tails_by_samples(
 
     Each batch is one ``prior.sample_many`` call valued by one
     ``value.many`` call, so a compact batch is never materialized except
-    at the picked position.
+    at the picked position.  Uniform ``u`` picks the rank ``int(u (n1 + f))``
+    (at most ``n1``, as ``f <= 1``), the right-search of ``u W(s)`` in
+    ``W(1..s)``; one ``np.partition`` finds the sample at that rank, no sort.
     """
-    kept = _kept_mass(np.arange(1, s + 1), s, instance.alpha)
+    n1, f = _trim_split(s, instance.alpha)
     out = []
     for _ in range(m):
         samples = instance.prior.sample_many(rng, s)
-        order = np.argsort(-instance.value.many(samples), kind="stable")
-        picked = int(np.searchsorted(kept, rng.random() * kept[-1], side="right"))
-        out.append(samples[int(order[picked])])
+        values = instance.value.many(samples)
+        rank = int(rng.random() * (n1 + f))
+        v = np.partition(values, s - 1 - rank)[s - 1 - rank]  # the rank-th largest value
+        ties = np.flatnonzero(values == v)  # in draw order, after every greater value
+        out.append(samples[int(ties[rank - np.count_nonzero(values > v)])])
     return out
 
 

@@ -130,6 +130,37 @@ def unit_round_robin_reference(instance: BipartiteInstance, order) -> Assignment
     return AssignmentSolution.from_edges(edges)
 
 
+def ordered_subsets_reference(rng: np.random.Generator, L: int, R: int, n: int) -> np.ndarray:
+    """The sort-based ``ordered_subsets`` that the insertion kernel replaced.
+
+    Column ``t`` draws a rank among the ``L - t`` free values and shifts it
+    past the row's earlier values, sorted ascending on every column.
+    """
+    out = np.empty((n, R), dtype=np.intp)
+    for t in range(R):
+        r = rng.integers(0, L - t, n)
+        for earlier in np.sort(out[:, :t], axis=1).T:
+            r += r >= earlier
+        out[:, t] = r
+    return out
+
+
+def serial_dictatorship_reference(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """The masked-``argmax`` ``serial_dictatorship_picks`` that the
+    preference-walk kernel replaced: each turn masks taken items with
+    ``-1`` in an ``(n, n_right)`` copy of the agents' weights and takes the
+    first maximum."""
+    n, m = agents.shape
+    rows = np.arange(n)
+    taken = np.zeros((n, weights.shape[1]), dtype=bool)
+    items = np.empty_like(agents)
+    for t in range(m):
+        pick = np.where(taken, -1.0, weights[agents[:, t]]).argmax(axis=1)
+        taken[rows, pick] = True
+        items[:, t] = pick
+    return items
+
+
 def round_robin_reference(instance: BipartiteInstance, orders) -> list[tuple[int, int]]:
     """Round robin with any demand and cap, pass ``k`` taking agents in ``orders[k]``.
 

@@ -30,9 +30,16 @@ from fairmix.ingest import bids_to_instance, parse_bids
 from conftest import (
     RecordingGenerator,
     nash_value,
+    ordered_subsets_reference,
     round_robin_reference,
+    serial_dictatorship_reference,
     unit_round_robin_reference,
 )
+
+#: ``(n_left, n_right, rows)`` of the exact-replay cases for the unit kernels:
+#: the goods scenario's shape at one tail batch, every agent picking, more
+#: than 64 items, no items, and no rows.
+UNIT_REPLAY_SHAPES = [(100, 5, 4794), (7, 7, 500), (80, 70, 300), (5, 0, 3), (100, 5, 0)]
 
 DEADLOCK = "round robin deadlocked before meeting demand"
 
@@ -300,6 +307,28 @@ class TestUnitBatchSampler:
                              minlength=len(tuples))
         # E[TV] ~ sqrt(60 / (2 pi n)) ~ 0.013 for a uniform law.
         assert 0.5 * np.abs(counts / n - 1 / len(tuples)).sum() < 0.03
+
+    @pytest.mark.parametrize("L, R, n", UNIT_REPLAY_SHAPES)
+    def test_ordered_subsets_replay_reference(self, L, R, n):
+        rng, ref_rng = np.random.default_rng(52), np.random.default_rng(52)
+        got = ordered_subsets(rng, L, R, n)
+        want = ordered_subsets_reference(ref_rng, L, R, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("L, R, n", UNIT_REPLAY_SHAPES)
+    def test_serial_dictatorship_picks_replay_reference(self, L, R, n, ties):
+        rng = np.random.default_rng(53)
+        weights = rng.choice([0.0, 0.5, 1.0], size=(L, R)) if ties else rng.random((L, R))
+        agents = ordered_subsets(rng, L, R, n)
+        # All R turns, then fewer turns than items.
+        for turns in (R, R // 2):
+            got = serial_dictatorship_picks(weights, agents[:, :turns])
+            want = serial_dictatorship_reference(weights, agents[:, :turns])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_ordered_subsets_are_distinct_and_in_range(self):
         rows = ordered_subsets(np.random.default_rng(49), 7, 7, 500)

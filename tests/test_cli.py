@@ -100,6 +100,22 @@ class TestSweepVerb:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_samples_without_epsilon_mix_is_usage_error(self, source, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "outdir"))
+        args = ["sweep", "--algorithm", "simple_mix", "--rounds", "1", "--batches", "1"]
+        if source == "flag":
+            args += ["--samples", "5"]
+        else:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text("samples = 5\n")
+            args += ["--config", str(cfg)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert err.startswith("usage error:") and "samples" in err
+        assert not (tmp_path / "outdir").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             [

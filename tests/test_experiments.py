@@ -67,6 +67,11 @@ class TestConfig:
             small_config(epsilon=0.1).validate()
         small_config(algorithm="epsilon_mix", epsilon=0.1).validate()
 
+    def test_samples_only_with_epsilon_mix(self):
+        with pytest.raises(ParameterError, match="samples"):
+            small_config(n_eps_override=5).validate()
+        small_config(algorithm="epsilon_mix", epsilon=0.1, n_eps_override=5).validate()
+
     @pytest.mark.parametrize(
         "kw",
         [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -117,11 +118,54 @@ class TestTrimWeights:
 
 @given(s=st.integers(1, 2000), alpha=st.floats(0.0, 1.0, exclude_max=True))
 def test_kept_mass_is_cumulative_trim_weight(s, alpha):
-    # W(t) is the one trim formula: the per-sample pick reads it at
+    # W(t) is the one trim formula: the per-sample pick is its search at
     # t = 1..s, and the exact tail law takes its mean over binomial counts.
     kept = _kept_mass(np.arange(1, s + 1), s, alpha)
     np.testing.assert_allclose(kept, np.cumsum(trim_weights(s, alpha)), rtol=0, atol=1e-9)
     assert kept[-1] == pytest.approx((1.0 - alpha) * s, abs=1e-9)
+
+
+def tail_pick(values: np.ndarray, alpha: float, u: float) -> int:
+    """Index that ``_tails_by_samples`` picks from a batch with these values
+    when its uniform is ``u``: the batch's samples are their own indices."""
+    inst = types.SimpleNamespace(
+        alpha=alpha,
+        prior=types.SimpleNamespace(sample_many=lambda rng, s: np.arange(s)),
+        value=types.SimpleNamespace(many=lambda samples: values),
+    )
+    return _tails_by_samples(inst, values.size, 1, types.SimpleNamespace(random=lambda: u))[0]
+
+
+class TestTailPick:
+    """The per-sample tail pick without a sort: the rank from the trim split
+    in closed form, then the sample at that rank by selection."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "all-equal"])
+    def test_sample_at_rank_is_stable_argsort(self, kind):
+        rng = np.random.default_rng(70)
+        values = {
+            "distinct": rng.random(600),
+            "ties": rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=600),
+            "all-equal": np.full(600, 3.0),
+        }[kind]
+        # At alpha = 0 every sample keeps weight 1, so u = (r + 1/2) / s picks rank r.
+        got = [tail_pick(values, 0.0, (r + 0.5) / values.size) for r in range(values.size)]
+        assert got == np.argsort(-values, kind="stable").tolist()
+
+    def test_picked_rank_is_search_of_kept_mass(self):
+        # Values descend with the index, so the picked index is the rank.
+        rng = np.random.default_rng(71)
+        us = np.concatenate([[0.0, 1.0 - 2.0**-53], rng.random(30)])
+        for s in [*range(1, 61), 2397, 4794, 9588]:
+            values = -np.arange(s, dtype=float)
+            # alpha = k / s puts the boundary weight f at or near 1.
+            grid = np.arange(s) / s if s <= 60 else np.linspace(0.0, 0.95, 20)
+            alphas = np.concatenate([grid, rng.random(5)])
+            for alpha in alphas[alphas < 1.0]:
+                kept = _kept_mass(np.arange(1, s + 1), s, alpha)
+                want = np.searchsorted(kept, us * kept[-1], side="right")
+                assert [tail_pick(values, alpha, u) for u in us] == want.tolist()
+                assert want.max() < s
 
 
 class TestEpsilonMix:

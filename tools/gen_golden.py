@@ -1,8 +1,8 @@
 """Regenerate the golden outputs that ``tests/test_golden.py`` pins byte for byte.
 
 Each case is one ``fairmix`` CLI invocation: a one-round sweep over the
-default alpha grid for every scenario and algorithm, a longer bids
-epsilon-mix sweep, and the
+default alpha grid for every scenario and algorithm, a longer bids and
+synthetic epsilon-mix sweep, and the
 ``oracle-check`` report of every preset for both algorithms.  The bytes
 follow numpy's generator streams, so ``numpy.txt`` records the numpy
 version they were made with.  Run from the repository root after a change
@@ -38,6 +38,11 @@ CASES: dict[str, list[str]] = {
     # More rounds on the one general round-robin prior, whose values tie often.
     "sweep_bids_epsilon_mix_rounds.csv": [
         "sweep", "--scenario", "bids", "--algorithm", "epsilon_mix", "--epsilon", "0.1",
+        "--alpha-grid", "0.25,0.5,0.75", "--rounds", "10", "--batches", "2", "--seed", "1",
+    ],
+    # More rounds on the unit round-robin prior (serial dictatorship), so more tails.
+    "sweep_synthetic_epsilon_mix_rounds.csv": [
+        "sweep", "--scenario", "synthetic", "--algorithm", "epsilon_mix", "--epsilon", "0.1",
         "--alpha-grid", "0.25,0.5,0.75", "--rounds", "10", "--batches", "2", "--seed", "1",
     ],
     **{
