@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
+from typing import Any, Callable
 
 from .assignment import InfeasibleError
-from .core import ALGORITHMS, ParameterError, ScaleError
+from .core import ParameterError, ScaleError
 from .experiments import (
-    DEFAULT_ALPHA_GRID,
     ORACLE_PRESETS,
     SCENARIOS,
     ExperimentConfig,
@@ -32,6 +31,7 @@ from .experiments import (
     run_sweep,
 )
 from .ingest import ParseError, bids_to_instance, parse_bids, read_demographic_table
+from .mix import ALGORITHMS, check_algorithm
 
 ENV_OUT_DIR = "FAIRMIX_OUT_DIR"
 
@@ -61,17 +61,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FILE_KEYS: dict[str, Callable[[str], object]] = {
-    "scenario": str,
-    "algorithm": str,
-    "alpha_grid": _parse_alpha_grid,
-    "epsilon": float,
-    "rounds": int,
-    "batches": int,
-    "samples": int,
-    "seed": int,
-    "input": str,
-    "output": str,
+#: Each sweep option: its config key (the flag is ``--key`` with dashes),
+#: the :class:`ExperimentConfig` field it sets, its value parser and its
+#: extra ``add_argument`` settings.  Unset options keep the field default.
+_SWEEP_OPTIONS: dict[str, tuple[str, Callable[[str], Any], dict[str, Any]]] = {
+    "scenario": ("scenario", str, {"choices": SCENARIOS}),
+    "algorithm": ("algorithm", str, {"choices": ALGORITHMS}),
+    "alpha_grid": ("alpha_grid", _parse_alpha_grid, {"metavar": "A1,A2,..."}),
+    "epsilon": ("epsilon", float, {}),
+    "rounds": ("n_rounds", int, {"help": "rounds per batch"}),
+    "batches": ("n_batches", int, {}),
+    "samples": ("n_eps_override", int, {"help": "fixed per-call prior sample count"}),
+    "seed": ("seed", int, {}),
+    "input": ("input_path", str, {"help": "scenario input file (defaults to bundled data)"}),
+    "output": ("output_path", str, {"help": "CSV path"}),
 }
 
 
@@ -83,16 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a seeded alpha sweep and write CSV")
-    sweep.add_argument("--scenario", choices=SCENARIOS)
-    sweep.add_argument("--algorithm", choices=ALGORITHMS)
-    sweep.add_argument("--alpha-grid", type=_parse_alpha_grid, metavar="A1,A2,...")
-    sweep.add_argument("--epsilon", type=float)
-    sweep.add_argument("--rounds", type=int, help="rounds per batch")
-    sweep.add_argument("--batches", type=int)
-    sweep.add_argument("--samples", type=int, help="fixed per-call prior sample count")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--input", help="scenario input file (defaults to bundled data)")
-    sweep.add_argument("--output", help="CSV path")
+    for key, (_, parse, extra) in _SWEEP_OPTIONS.items():
+        sweep.add_argument("--" + key.replace("_", "-"), type=parse, **extra)
     sweep.add_argument("--config", help="key=value config file; flags win")
 
     oracle = sub.add_parser("oracle-check", help="verify guarantees on a preset instance")
@@ -124,33 +119,20 @@ def _resolve_output(explicit: str | None, default_name: str) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_vals = _read_config_file(args.config) if args.config else {}
     for key in file_vals:
-        if key not in _FILE_KEYS:
+        if key not in _SWEEP_OPTIONS:
             raise ParameterError(f"unknown config key {key!r}")
-
-    def pick(flag_value, key: str, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
+    fields = {}
+    for key, (field, parse, _) in _SWEEP_OPTIONS.items():
+        value = getattr(args, key)  # a flag wins over the config file
+        if value is None and key in file_vals:
             try:
-                return _FILE_KEYS[key](file_vals[key])
+                value = parse(file_vals[key])
             except ValueError as exc:
                 raise ParameterError(f"config key {key!r}: {exc}") from None
-        return default
-
-    config = ExperimentConfig(
-        scenario=pick(args.scenario, "scenario", "synthetic"),
-        algorithm=pick(args.algorithm, "algorithm", "simple_mix"),
-        alpha_grid=pick(args.alpha_grid, "alpha_grid", DEFAULT_ALPHA_GRID),
-        epsilon=pick(args.epsilon, "epsilon"),
-        n_rounds=pick(args.rounds, "rounds"),
-        n_batches=pick(args.batches, "batches"),
-        n_eps_override=pick(args.samples, "samples"),
-        seed=pick(args.seed, "seed", 0),
-        input_path=pick(args.input, "input"),
-        output_path=pick(args.output, "output"),
-    )
-    config.validate()
-    result = run_sweep(config)
+        if value is not None:
+            fields[field] = value
+    config = ExperimentConfig(**fields)
+    result = run_sweep(config)  # validates before any output is written
     path = _resolve_output(
         config.output_path, f"sweep_{config.scenario}_{config.algorithm}.csv"
     )
@@ -161,9 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if (args.epsilon is None) == (args.algorithm == "epsilon_mix"):
-        raise ParameterError("--epsilon is required for epsilon_mix and meaningless otherwise")
-    path = _resolve_output(args.output, f"oracle_check_{args.preset}.txt")
+    check_algorithm(args.algorithm, args.epsilon)
     report = run_oracle_check(
         preset=args.preset,
         alpha=args.alpha,
@@ -171,8 +151,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         n_runs=args.rounds,
         seed=args.seed,
-        output_path=path,
     )
+    path = _resolve_output(args.output, f"oracle_check_{args.preset}.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(report.render())
     sys.stdout.write(report.render())
     print(f"wrote={path}")
     return 0 if report.passed else 3

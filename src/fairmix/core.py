@@ -36,10 +36,6 @@ class ScaleError(ParameterError):
     """An input is too large for an exact (enumerating) code path."""
 
 
-#: Names of the mixing algorithms, as the CLI, sweeps and oracles spell them.
-ALGORITHMS = ("simple_mix", "epsilon_mix")
-
-
 def check_alpha(alpha: float) -> float:
     """Validate a fairness budget in the closed range ``[0, 1]``."""
     if not 0.0 <= alpha <= 1.0:

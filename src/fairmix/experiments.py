@@ -32,7 +32,6 @@ from .assignment import (
     utilitarian_value,
 )
 from .core import (
-    ALGORITHMS,
     Distribution,
     FairPrior,
     InterpolationInstance,
@@ -41,7 +40,7 @@ from .core import (
     WelfareMechanism,
 )
 from .ingest import ADULT_FEATURES, bids_to_instance, parse_bids, parse_demographics
-from .mix import epsilon_mix, sample_size, simple_mix
+from .mix import check_algorithm, epsilon_mix, sample_size, simple_mix
 from .oracle import GuaranteeReport, check_guarantees
 from .sortition import sortition_fwi_instance
 
@@ -90,22 +89,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.algorithm not in ALGORITHMS:
-            raise ParameterError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        check_algorithm(self.algorithm, self.epsilon, self.n_eps_override)
+        if self.input_path is not None and self.scenario == "synthetic":
+            raise ParameterError("input is meaningless with the synthetic scenario")
         if not self.alpha_grid:
             raise ParameterError("alpha_grid must be non-empty")
         for a in self.alpha_grid:
             if not 0.0 < a <= 1.0:
                 raise ParameterError(f"alpha grid values must lie in (0, 1], got {a!r}")
-        if (self.epsilon is None) == (self.algorithm == "epsilon_mix"):
-            raise ParameterError("epsilon is required for epsilon_mix and meaningless otherwise")
-        if self.n_eps_override is not None and self.algorithm != "epsilon_mix":
-            raise ParameterError("samples is meaningless without epsilon_mix")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        for field, low in (("n_rounds", 1), ("n_batches", 1), ("n_eps_override", 1)):
+        for field, low in (("n_rounds", 1), ("n_batches", 1), ("seed", 0)):
             v = getattr(self, field)
             if v is not None and v < low:
                 raise ParameterError(f"{field} must be >= {low}, got {v!r}")
@@ -331,6 +323,8 @@ def run_oracle_check(
     output_path: str | None = None,
 ) -> GuaranteeReport:
     """Build a preset instance, check its guarantees, optionally write the report."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     instance = oracle_preset_instance(preset, alpha, lam=lam, seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(5,))))
     report = check_guarantees(instance, n_runs, rng, epsilon=epsilon)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 

@@ -39,6 +39,8 @@ import numpy as np
 from .core import Distribution, InterpolationInstance, ParameterError, check_alpha
 
 __all__ = [
+    "ALGORITHMS",
+    "check_algorithm",
     "sample_size",
     "trim_weights",
     "epsilon_mix",
@@ -49,10 +51,33 @@ __all__ = [
 ]
 
 
+#: Names of the mixing algorithms, as the CLI, sweeps and oracles spell them.
+ALGORITHMS = ("simple_mix", "epsilon_mix")
+
+
 def _check_epsilon(epsilon: float) -> float:
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return float(epsilon)
+
+
+def check_algorithm(algorithm: str, epsilon: float | None, n_samples: int | None = None) -> None:
+    """Check an algorithm name and its parameters.
+
+    ``epsilon_mix`` needs an ``epsilon`` in ``(0, 1)`` and may pin a prior
+    sample count ``n_samples >= 1``; ``simple_mix`` takes neither.  This is
+    the one place that raises on these rules.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if (epsilon is None) == (algorithm == "epsilon_mix"):
+        raise ParameterError("epsilon is required for epsilon_mix and meaningless otherwise")
+    if n_samples is not None and algorithm != "epsilon_mix":
+        raise ParameterError("samples is meaningless without epsilon_mix")
+    if epsilon is not None:
+        _check_epsilon(epsilon)
+    if n_samples is not None and n_samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {n_samples!r}")
 
 
 def sample_size(alpha: float, epsilon: float) -> int:
@@ -202,9 +227,7 @@ def epsilon_mix_many(
     the exact tail law (:func:`_tails_by_law`); otherwise each tail draws,
     values, ranks, trims and picks its own sample batch.
     """
-    _check_epsilon(epsilon)
-    if n_samples is not None and n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
+    check_algorithm("epsilon_mix", epsilon, n_samples)
     alpha = instance.alpha
 
     def draw_tails(m: int) -> Sequence[Any]:

@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    ALGORITHMS,
     NORM_TOL,
     Distribution,
     InterpolationInstance,
@@ -34,7 +33,7 @@ from .core import (
     expected_value,
     tv_distance,
 )
-from .mix import epsilon_mix_many, sample_size, simple_mix_distribution, simple_mix_many
+from .mix import check_algorithm, epsilon_mix_many, simple_mix_distribution, simple_mix_many
 
 #: Largest enumerable solution space the exact oracles will process.
 ORACLE_MAX_SOLUTIONS = 100_000
@@ -81,10 +80,6 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
     alpha = check_alpha(alpha)
     ids, probs = prior.ids, prior.probs
     _check_scale(ids.size)
-    if value.values is not None and ids[-1] >= value.values.size:
-        raise ParameterError(
-            f"prior support id {ids[-1]} outside value domain of size {value.values.size}"
-        )
     vals = value.many(ids)
     opt = value.argmax() if value.values is not None else int(ids[np.argmax(vals)])
 
@@ -153,8 +148,7 @@ def estimate_output_law(
     sequentially (vectorized internally), which is the deterministic
     degenerate case.
     """
-    if algorithm not in ALGORITHMS:
-        raise ParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    check_algorithm(algorithm, epsilon, n_samples)
     if instance.prior.explicit is None:
         raise ParameterError("output-law estimation requires an explicit prior (oracle mode)")
     if n_runs < 1:
@@ -162,8 +156,6 @@ def estimate_output_law(
     _check_scale(len(instance.prior.explicit))
 
     if algorithm == "epsilon_mix":
-        if epsilon is None:
-            raise ParameterError("epsilon_mix requires epsilon")
         outputs = epsilon_mix_many(instance, epsilon, n_runs, rng, n_samples=n_samples)
     else:
         outputs = simple_mix_many(instance, n_runs, rng)

@@ -37,6 +37,22 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(args, config, tmp_path, capsys, monkeypatch, names):
+    """Run ``args`` (plus ``config`` lines as a config file, if any) and check
+    for exit 1, one ``usage error:`` line naming ``names``, and no output."""
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "outdir"))
+    if config:
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert names in err
+    assert stdout == ""
+    assert not (tmp_path / "outdir").exists()
+
+
 class TestSweepVerb:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -116,6 +132,31 @@ class TestSweepVerb:
         assert err.startswith("usage error:") and "samples" in err
         assert not (tmp_path / "outdir").exists()
 
+    @pytest.mark.parametrize(
+        "flags,config",
+        [(["--seed", "-1"], ""), ([], "seed = -1\n")],
+        ids=["flag", "config"],
+    )
+    def test_negative_seed_is_usage_error(self, flags, config, tmp_path, capsys,
+                                          monkeypatch):
+        args = ["sweep", "--rounds", "1", "--batches", "1"] + flags
+        assert_usage_error(args, config, tmp_path, capsys, monkeypatch, "seed must be >= 0")
+
+    @pytest.mark.parametrize(
+        "flags,config",
+        [(["--input", "any.csv"], ""), ([], "input = any.csv\n")],
+        ids=["flag", "config"],
+    )
+    def test_input_with_synthetic_is_usage_error(self, flags, config, tmp_path, capsys,
+                                                 monkeypatch):
+        args = ["sweep", "--scenario", "synthetic", "--rounds", "1", "--batches", "1"] + flags
+        assert_usage_error(args, config, tmp_path, capsys, monkeypatch, "input")
+
+    def test_zero_samples_names_the_option(self, tmp_path, capsys, monkeypatch):
+        args = ["sweep", "--algorithm", "epsilon_mix", "--epsilon", "0.1", "--samples", "0",
+                "--rounds", "1", "--batches", "1"]
+        assert_usage_error(args, "", tmp_path, capsys, monkeypatch, "samples must be >= 1")
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             [
@@ -183,7 +224,7 @@ class TestOracleCheckVerb:
         assert report_text in stdout
         assert f"wrote={out}" in stdout
 
-    def test_failing_check_exits_three(self, capsys, monkeypatch):
+    def test_failing_check_exits_three(self, tmp_path, capsys, monkeypatch):
         failing = GuaranteeReport(
             algorithm="simple_mix",
             alpha=0.5,
@@ -203,11 +244,17 @@ class TestOracleCheckVerb:
             retried=True,
         )
         monkeypatch.setattr(cli, "run_oracle_check", lambda **kw: failing)
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
         code, stdout, _ = run_cli(
             ["oracle-check", "--preset", "random", "--alpha", "0.5"], capsys
         )
         assert code == 3
         assert "fairness_ok=False" in stdout
+        assert (tmp_path / "oracle_check_random.txt").read_text() == failing.render()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        args = ["oracle-check", "--preset", "tightness", "--seed", "-1"]
+        assert_usage_error(args, "", tmp_path, capsys, monkeypatch, "seed must be >= 0")
 
     def test_epsilon_only_with_epsilon_mix(self, capsys):
         code, _, _ = run_cli(

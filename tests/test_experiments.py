@@ -81,6 +81,8 @@ class TestConfig:
             dict(alpha_grid=(1.5,)),
             dict(n_rounds=0),
             dict(n_batches=-1),
+            dict(seed=-1),
+            dict(input_path="any.csv"),
         ],
     )
     def test_invalid_configs(self, kw):
@@ -212,6 +214,10 @@ class TestOraclePresets:
     def test_unknown_preset(self):
         with pytest.raises(ParameterError):
             oracle_preset_instance("nope", alpha=0.5)
+
+    def test_run_oracle_check_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            run_oracle_check(preset="tightness", alpha=0.5, n_runs=10, seed=-1)
 
     def test_run_oracle_check_passes(self, tmp_path):
         out = tmp_path / "report.txt"

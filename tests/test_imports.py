@@ -1,12 +1,20 @@
 """Import hygiene: fairmix runs without networkx, defers scipy.optimize,
-scipy.special and scipy.spatial, and never loads scipy.stats."""
+scipy.special and scipy.spatial, never loads scipy.stats, and imports no
+name it does not use."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import fairmix
 from conftest import subprocess_env
+
+MODULES = sorted(pathlib.Path(fairmix.__file__).parent.glob("*.py"))
 
 SCRIPT = """
 import sys
@@ -42,3 +50,32 @@ def test_cli_imports_without_networkx_or_scipy_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[(0, 1), (1, 0)]"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (names in ``__all__`` count as read)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_catches_one():
+    source = "from typing import Iterable, Mapping\nimport numpy as np\nx: Mapping = np.zeros\n"
+    assert unused_imports(source) == ["Iterable (line 1)"]

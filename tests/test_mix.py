@@ -33,6 +33,7 @@ from fairmix.mix import (
     _kept_mass,
     _tails_by_law,
     _tails_by_samples,
+    check_algorithm,
     epsilon_mix,
     epsilon_mix_many,
     sample_size,
@@ -69,6 +70,30 @@ def exact_tail_law(inst: InterpolationInstance, s: int) -> np.ndarray:
     rec = _RecordLaw()
     _tails_by_law(inst, s, 1, rec)
     return rec.p
+
+
+@pytest.mark.parametrize(
+    "algorithm,epsilon,n_samples,error",
+    [
+        ("simple_mix", None, None, None),
+        ("epsilon_mix", 0.1, None, None),
+        ("epsilon_mix", 0.1, 1, None),
+        ("other", None, None, "unknown algorithm 'other'"),
+        ("simple_mix", 0.1, None, "epsilon is required"),
+        ("epsilon_mix", None, None, "epsilon is required"),
+        ("epsilon_mix", None, 5, "epsilon is required"),
+        ("simple_mix", None, 5, "samples is meaningless"),
+        ("epsilon_mix", 0.0, None, r"epsilon must lie in \(0, 1\), got 0.0"),
+        ("epsilon_mix", 1.0, None, r"epsilon must lie in \(0, 1\), got 1.0"),
+        ("epsilon_mix", 0.1, 0, "samples must be >= 1, got 0"),
+    ],
+)
+def test_check_algorithm(algorithm, epsilon, n_samples, error):
+    if error is None:
+        check_algorithm(algorithm, epsilon, n_samples)
+    else:
+        with pytest.raises(ParameterError, match=error):
+            check_algorithm(algorithm, epsilon, n_samples)
 
 
 class TestSampleSize:

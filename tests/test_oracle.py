@@ -185,6 +185,14 @@ class TestEstimateOutputLaw:
         with pytest.raises(ParameterError):
             estimate_output_law("epsilon_mix", inst, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "kw,error", [(dict(epsilon=0.1), "epsilon"), (dict(n_samples=5), "samples")]
+    )
+    def test_simple_mix_takes_no_epsilon_mix_parameters(self, kw, error):
+        inst = make_instance([1.0, 2.0], [0.5, 0.5], alpha=0.4)
+        with pytest.raises(ParameterError, match=error):
+            estimate_output_law("simple_mix", inst, 10, np.random.default_rng(0), **kw)
+
     def test_unknown_algorithm(self):
         inst = make_instance([1.0, 2.0], [0.5, 0.5], alpha=0.4)
         with pytest.raises(ParameterError):
