@@ -7,8 +7,9 @@ items.  Edge weights are non-negative affinities; the utilitarian value
 of an assignment is its total edge weight.
 
 The module provides a deterministic greedy heuristic, an exact
-maximum-weight solver (one HiGHS linear program, for oracle-scale
-instances), and a randomized round-robin mechanism whose output lottery
+maximum-weight solver for oracle-scale instances (scipy's
+``linear_sum_assignment`` at unit demand and cap, otherwise one HiGHS
+linear program), and a randomized round-robin mechanism whose output lottery
 serves as a fair prior: agents take turns in a fresh uniformly random
 order each pass, each picking their favorite item with remaining demand.
 """
@@ -222,36 +223,44 @@ def greedy_matching(instance: BipartiteInstance) -> AssignmentSolution:
 
 
 def max_matching(instance: BipartiteInstance) -> AssignmentSolution:
-    """Exact maximum-weight complete assignment as one linear program.
+    """Exact maximum-weight complete assignment.
 
-    The variables are the edge indicators ``x[a, j]`` in ``[0, 1]``; agent
-    loads are capped at ``load_cap`` and item fills equal ``demand``.  This
-    constraint matrix is totally unimodular, so HiGHS returns an integral
-    vertex.  Limited to oracle-scale instances.
+    With unit demand and unit load cap this is a rectangular assignment
+    problem, solved by ``scipy.optimize.linear_sum_assignment``.  Otherwise
+    it is one linear program: the variables are the edge indicators
+    ``x[a, j]`` in ``[0, 1]``; agent loads are capped at ``load_cap`` and
+    item fills equal ``demand``.  This constraint matrix is totally
+    unimodular, so HiGHS returns an integral vertex.  Limited to
+    oracle-scale instances.
     """
     # Imported here: scipy.optimize adds ~0.3 s to import for callers that never solve.
     from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize import linear_sum_assignment, linprog
 
     L, R = instance.n_left, instance.n_right
     if L + R > _MAX_EXACT_NODES:
         raise ScaleError(
             f"exact assignment supports at most {_MAX_EXACT_NODES} nodes, got {L + R}"
         )
-    result = linprog(
-        -instance.weights.ravel(),
-        A_ub=sparse.kron(sparse.eye(L), np.ones((1, R)), format="csr"),
-        b_ub=np.full(L, instance.load_cap),
-        A_eq=sparse.kron(np.ones((1, L)), sparse.eye(R), format="csr"),
-        b_eq=np.full(R, instance.demand),
-        bounds=(0.0, 1.0),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    x = result.x.reshape(L, R) if result.status == 0 else None
-    if x is None or np.abs(x - np.round(x)).max() > 1e-6:
-        raise InfeasibleError(f"exact assignment found no integral optimum: {result.message}")
-    solution = AssignmentSolution.from_edges(zip(*np.nonzero(x > 0.5)))
+    if instance.demand == 1 and instance.load_cap == 1:
+        solution = AssignmentSolution.from_edges(
+            zip(*linear_sum_assignment(instance.weights, maximize=True))
+        )
+    else:
+        result = linprog(
+            -instance.weights.ravel(),
+            A_ub=sparse.kron(sparse.eye(L), np.ones((1, R)), format="csr"),
+            b_ub=np.full(L, instance.load_cap),
+            A_eq=sparse.kron(np.ones((1, L)), sparse.eye(R), format="csr"),
+            b_eq=np.full(R, instance.demand),
+            bounds=(0.0, 1.0),
+            method="highs",
+            options=_LP_OPTIONS,
+        )
+        x = result.x.reshape(L, R) if result.status == 0 else None
+        if x is None or np.abs(x - np.round(x)).max() > 1e-6:
+            raise InfeasibleError(f"exact assignment found no integral optimum: {result.message}")
+        solution = AssignmentSolution.from_edges(zip(*np.nonzero(x > 0.5)))
     solution.validate(instance)
     return solution
 

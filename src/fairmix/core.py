@@ -94,9 +94,11 @@ class Distribution:
         return cls({sid: 1.0})
 
     def _set(self, ids: np.ndarray, probs: np.ndarray) -> None:
-        """Validate, add up repeated ids, sort by id, drop zero entries, freeze."""
+        """Validate; sum repeats and sort by id (skipped when ids ascend); drop zeros; freeze."""
         if ids.dtype.kind not in "iu":
             raise ParameterError(f"solution ids must be integers, got dtype {ids.dtype}")
+        if ids.ndim != 1 or ids.shape != probs.shape:
+            raise ParameterError(f"ids {ids.shape} and probs {probs.shape} differ or are not 1-d")
         ids = ids.astype(np.int64)
         if np.any(ids < 0):
             raise ParameterError(f"solution id {ids.min()} is negative")
@@ -106,8 +108,9 @@ class Distribution:
             raise ParameterError(
                 f"probability {float(probs[i])!r} of solution {ids[i]} is NaN or negative"
             )
-        ids, inverse = np.unique(ids, return_inverse=True)
-        probs = np.bincount(inverse, probs, ids.size)
+        if not np.all(ids[1:] > ids[:-1]):
+            ids, inverse = np.unique(ids, return_inverse=True)
+            probs = np.bincount(inverse, probs, ids.size)
         ids, probs = ids[probs > 0.0], probs[probs > 0.0]
         total = float(probs.sum())
         if abs(total - 1.0) > NORM_TOL:

@@ -195,14 +195,16 @@ def _mix_many(
         raise ParameterError(f"run count n must be >= 0, got {n!r}")
     heads = rng.random(n) < instance.alpha
     m = int(n - heads.sum())
-    tails = iter(draw_tails(m) if m > 0 else ())
-    out: list[Any] = []
-    for h in heads:
-        if h:
-            out.append(instance.mechanism.run(rng))
-        else:
-            drawn = next(tails)
-            out.append(int(drawn) if isinstance(drawn, np.integer) else drawn)
+    out = np.empty(n, dtype=object)
+    if m > 0:
+        drawn = draw_tails(m)
+        if not (isinstance(drawn, np.ndarray) and drawn.ndim == 1 and drawn.dtype.kind in "iu"):
+            as_int = (int(x) if isinstance(x, np.integer) else x for x in drawn)
+            drawn = np.fromiter(as_int, object, m)
+        out[~heads] = drawn  # in one step; an integer array is cast to Python ints
+    out = out.tolist()
+    for i in np.flatnonzero(heads).tolist():
+        out[i] = instance.mechanism.run(rng)
     return out
 
 

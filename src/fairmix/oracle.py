@@ -83,7 +83,9 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
     vals = value.many(ids)
     opt = value.argmax() if value.values is not None else int(ids[np.argmax(vals)])
 
-    order = np.lexsort((ids, vals))
+    # np.lexsort((ids, vals)) by one argsort of a distinct key, as prior ids ascend.
+    rank = np.unique(vals, return_inverse=True)[1]
+    order = np.argsort(rank * ids.size + np.arange(ids.size))
     p = probs[order]
     before = np.concatenate(([0.0], np.cumsum(p)[:-1]))  # prior mass ahead in removal order
     removed = np.empty_like(probs)
@@ -94,7 +96,11 @@ def build_p_opt(prior: Distribution, value: ValueFunction, alpha: float) -> OptD
     kept = residual.sum()
     p_alpha = Distribution.from_arrays(ids, residual / kept) if alpha < 1.0 and kept > 0.0 else None
     p_alpha_tilde = Distribution.from_arrays(ids, removed / removed.sum()) if alpha > 0.0 else None
-    p_opt = Distribution.from_arrays(np.append(ids, opt), np.append(residual, alpha))
+    at = np.searchsorted(ids, opt)  # p_opt stays in id order: alpha joins opt's entry
+    if at == ids.size or ids[at] != opt:
+        ids, residual = np.insert(ids, at, opt), np.insert(residual, at, 0.0)
+    residual[at] += alpha
+    p_opt = Distribution.from_arrays(ids, residual)
     return OptDecomposition(alpha, int(opt), p_opt, p_alpha, p_alpha_tilde)
 
 

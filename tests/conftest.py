@@ -290,6 +290,58 @@ def build_p_opt_reference(prior: Distribution, value: ValueFunction, alpha: floa
     return opt, Distribution(p_opt_entries), p_alpha, p_alpha_tilde
 
 
+def canonical_arrays_reference(ids, probs) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form :class:`fairmix.core.Distribution` built from every
+    input before already-ascending ids skipped the sort, kept as its bit
+    reference: ``np.unique`` the ids, add up repeats with ``np.bincount`` in
+    the order given, drop zero entries."""
+    ids, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    probs = np.bincount(inverse, np.asarray(probs, dtype=float), ids.size)
+    return ids[probs > 0.0], probs[probs > 0.0]
+
+
+def build_p_opt_array_reference(prior: Distribution, value: ValueFunction, alpha: float):
+    """The array :func:`fairmix.oracle.build_p_opt` before its rank key, kept
+    as its bit reference: removal order from a stable ``np.lexsort``, and
+    ``p_opt`` by appending ``opt`` and sorting again.  Returns ``(opt,
+    p_opt, p_alpha, p_alpha_tilde)``, each law as canonical ``(ids, probs)``
+    arrays (:func:`canonical_arrays_reference`) or ``None``."""
+    ids, probs = prior.ids, prior.probs
+    vals = value.many(ids)
+    opt = value.argmax() if value.values is not None else int(ids[np.argmax(vals)])
+    order = np.lexsort((ids, vals))
+    p = probs[order]
+    before = np.concatenate(([0.0], np.cumsum(p)[:-1]))
+    removed = np.empty_like(probs)
+    removed[order] = np.clip(alpha - before, 0.0, p)
+    residual = probs - removed
+    kept, cut = residual.sum(), removed.sum()
+    p_alpha = canonical_arrays_reference(ids, residual / kept) if alpha < 1 and kept > 0 else None
+    p_alpha_tilde = canonical_arrays_reference(ids, removed / cut) if alpha > 0.0 else None
+    p_opt = canonical_arrays_reference(np.append(ids, opt), np.append(residual, alpha))
+    return int(opt), p_opt, p_alpha, p_alpha_tilde
+
+
+def mix_many_reference(instance: InterpolationInstance, n: int, rng, draw_tails) -> list[Any]:
+    """The per-run loop of :func:`fairmix.mix._mix_many` before tails were
+    placed in one step, kept as its replay reference: walk the coins in run
+    order, taking the next tail (numpy integers as ``int``) or running the
+    mechanism."""
+    if n < 0:
+        raise ParameterError(f"run count n must be >= 0, got {n!r}")
+    heads = rng.random(n) < instance.alpha
+    m = int(n - heads.sum())
+    tails = iter(draw_tails(m) if m > 0 else ())
+    out: list[Any] = []
+    for h in heads:
+        if h:
+            out.append(instance.mechanism.run(rng))
+        else:
+            drawn = next(tails)
+            out.append(int(drawn) if isinstance(drawn, np.integer) else drawn)
+    return out
+
+
 def tv_distance_reference(p: Distribution, q: Distribution) -> float:
     """Set-union loop behind :func:`fairmix.core.tv_distance`, kept as its reference."""
     keys = set(p.as_dict()) | set(q.as_dict())

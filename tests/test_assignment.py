@@ -216,8 +216,38 @@ class TestMatchings:
             status=status, x=None if x is None else np.array(x), message="solver says no"
         )
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: result)
-        with pytest.raises(InfeasibleError, match="solver says no"):
-            max_matching(BipartiteInstance(np.ones((2, 2))))
+        with pytest.raises(InfeasibleError, match="solver says no"):  # cap 2: the LP path
+            max_matching(BipartiteInstance(np.ones((2, 2)), demand=1, load_cap=2))
+
+    @pytest.mark.parametrize("shape", [(70, 70), (100, 5), (7, 3)])
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "ties"])
+    def test_unit_max_matching_equals_lp(self, shape, tied):
+        # Unit demand and cap take linear_sum_assignment; the LP it replaced
+        # must agree: same edges on continuous weights, same value everywhere.
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng([44, *shape, int(tied)])
+        L, R = shape
+        for _ in range(3):
+            w = rng.choice([0.0, 0.5, 1.0], size=shape) if tied else rng.random(shape)
+            inst = BipartiteInstance(w)
+            lp = linprog(
+                -w.ravel(),
+                A_ub=sparse.kron(sparse.eye(L), np.ones((1, R)), format="csr"),
+                b_ub=np.ones(L),
+                A_eq=sparse.kron(np.ones((1, L)), sparse.eye(R), format="csr"),
+                b_eq=np.ones(R),
+                bounds=(0.0, 1.0),
+                method="highs",
+                options={"primal_feasibility_tolerance": 1e-10,
+                         "dual_feasibility_tolerance": 1e-10},
+            )
+            lp_edges = set(zip(*np.nonzero(lp.x.reshape(L, R) > 0.5)))
+            got = max_matching(inst)
+            assert solution_value(inst, got) == pytest.approx(-lp.fun, abs=1e-9)
+            if not tied:
+                assert got.edges == {(int(a), int(j)) for a, j in lp_edges}
 
 
 class TestRoundRobin:

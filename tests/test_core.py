@@ -20,7 +20,7 @@ from fairmix.core import (
     tv_distance,
 )
 
-from conftest import make_instance, prior_from_sampler, random_simplex
+from conftest import canonical_arrays_reference, make_instance, prior_from_sampler, random_simplex
 
 
 class TestDistribution:
@@ -102,14 +102,24 @@ _WEIGHTS = st.dictionaries(
 ).filter(lambda w: sum(w.values()) > 0.0)
 
 
-@given(weights=_WEIGHTS)
-def test_distribution_accepts_any_normalized_vector(weights):
+@given(weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1))
+def test_distribution_accepts_any_normalized_vector(weights, seed):
     total = sum(weights.values())
     d = Distribution({sid: w / total for sid, w in weights.items()})
     assert d.support == tuple(sorted(sid for sid, w in weights.items() if w > 0.0))
     ids, probs = d.arrays()
     assert ids.tolist() == list(d.support)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # Ascending ids skip the sort and shuffled ones take it; both must give
+    # the bits of the sort, zeros dropped and arrays frozen.
+    ids = np.array(sorted(weights), dtype=np.int64)
+    probs = np.array([weights[i] / total for i in ids.tolist()])
+    perm = np.random.default_rng(seed).permutation(ids.size)
+    want_ids, want_probs = canonical_arrays_reference(ids, probs)
+    for args in ((ids, probs), (ids[perm], probs[perm])):
+        d = Distribution.from_arrays(*args)
+        assert d.ids.tobytes() == want_ids.tobytes() and d.probs.tobytes() == want_probs.tobytes()
+        assert not d.ids.flags.writeable and not d.probs.flags.writeable
 
 
 @given(
@@ -123,6 +133,24 @@ def test_distribution_rejects_nan_or_negative_entry(weights, bad, bad_id):
     entries[bad_id] = bad
     with pytest.raises(ParameterError, match="NaN|negative"):
         Distribution(entries)
+
+
+@pytest.mark.parametrize(
+    "ids, probs, match",
+    [
+        (np.array([0.0, 1.0]), [0.5, 0.5], "must be integers"),
+        (np.array([-1, 2]), [0.5, 0.5], "solution id -1 is negative"),
+        (np.array([0, 1]), [1.0, float("nan")], "NaN"),
+        (np.array([0, 1]), [1.5, -0.5], "negative"),
+        (np.array([0, 1]), [0.5, 0.25], "sum to"),
+        (np.array([0, 1, 2]), [0.5, 0.5], "differ"),
+        (np.array([[0, 1]]), [[0.5, 0.5]], "not 1-d"),
+    ],
+    ids=["dtype", "negative-id", "nan", "negative-prob", "sum", "length", "2-d"],
+)
+def test_from_arrays_rejects_bad_input_with_sorted_ids(ids, probs, match):
+    with pytest.raises(ParameterError, match=match):
+        Distribution.from_arrays(ids, np.array(probs))
 
 
 class TestTvDistance:

@@ -42,9 +42,11 @@ from fairmix.mix import (
     simple_mix_many,
     trim_weights,
 )
+from fairmix.sortition import RandomReplaceSampler, likelihood_value
 
 from conftest import (
     make_instance,
+    mix_many_reference,
     prior_from_sampler,
     random_instance,
     unit_round_robin_reference_prior,
@@ -331,6 +333,58 @@ def test_run_count_validated(run_many):
     with pytest.raises(ParameterError, match="run count n"):
         run_many(inst, -2, np.random.default_rng(0))
     assert run_many(inst, 0, np.random.default_rng(0)) == []
+
+
+@pytest.fixture(scope="module")
+def replay_instances() -> dict[str, InterpolationInstance]:
+    """One instance per kind of tail sequence that reaches ``_mix_many``; every
+    mechanism draws from the run's generator."""
+    goods = synthetic_instance(6, 3, np.random.default_rng(20))
+    points = np.random.default_rng(21).random((30, 2))
+    value4 = ValueFunction.from_array([1.0, 3.0, 2.0, 3.0])
+    priors = {
+        "ids": (FairPrior.from_distribution(Distribution.from_array([0.1, 0.2, 0.3, 0.4])), value4),
+        "numpy-ints": (prior_from_sampler(lambda rng: np.int64(rng.integers(4))), value4),
+        "assignments": (FairPrior(RoundRobinSampler(goods).sample_many), utilitarian_value(goods)),
+        "panels": (FairPrior(RandomReplaceSampler(points, range(6)).sample_many),
+                   likelihood_value(points)),
+    }
+    mechanism = WelfareMechanism(lambda rng: int(rng.integers(100, 200)))
+    return {kind: InterpolationInstance(value, prior, mechanism, 0.5)
+            for kind, (prior, value) in priors.items()}
+
+
+@pytest.mark.parametrize(
+    "algorithm, kind, n",
+    [
+        (algorithm, kind, n)
+        for algorithm in ("simple_mix", "epsilon_mix")
+        for kind in ("ids", "numpy-ints", "assignments", "panels")
+        for n in (0, 1, 7, 20000)
+        # long runs only where tails come as an array or a plain list
+        if n < 20000 or kind == "ids" or (kind, algorithm) == ("numpy-ints", "simple_mix")
+    ],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_mix_many_replays_per_run_loop(monkeypatch, replay_instances, algorithm, kind, n, alpha):
+    # Tails placed in one step must give the per-run loop's outputs, with
+    # the same Python types, and leave the generator in the same state.
+    inst = dataclasses.replace(replay_instances[kind], alpha=alpha)
+
+    def run() -> tuple[list, dict]:
+        rng = np.random.default_rng([22, n])
+        if algorithm == "simple_mix":
+            out = simple_mix_many(inst, n, rng)
+        else:
+            out = epsilon_mix_many(inst, 0.1, n, rng, n_samples=3)
+        return out, rng.bit_generator.state
+
+    got, got_state = run()
+    monkeypatch.setattr("fairmix.mix._mix_many", mix_many_reference)
+    want, want_state = run()
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert got_state == want_state
 
 
 @given(

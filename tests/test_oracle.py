@@ -31,6 +31,7 @@ from fairmix.oracle import (
 from fairmix.mix import simple_mix_distribution
 
 from conftest import (
+    build_p_opt_array_reference,
     build_p_opt_reference,
     grid_search_value,
     make_instance,
@@ -345,6 +346,23 @@ def _assert_same_law(got: Distribution | None, want: Distribution | None) -> Non
     np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
 
 
+def _assert_same_bits(got: Distribution | None, want) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert got.ids.dtype == want[0].dtype and got.ids.tobytes() == want[0].tobytes()
+    assert got.probs.dtype == want[1].dtype and got.probs.tobytes() == want[1].tobytes()
+
+
+def _assert_replays_array_reference(prior: Distribution, value: ValueFunction, alpha: float):
+    dec = build_p_opt(prior, value, alpha)
+    opt, p_opt, p_alpha, p_alpha_tilde = build_p_opt_array_reference(prior, value, alpha)
+    assert dec.opt == opt
+    _assert_same_bits(dec.p_opt, p_opt)
+    _assert_same_bits(dec.p_alpha, p_alpha)
+    _assert_same_bits(dec.p_alpha_tilde, p_alpha_tilde)
+
+
 @given(problem=_oracle_problems())
 def test_build_p_opt_matches_reference_loop(problem):
     prior, value, alpha = problem
@@ -359,3 +377,23 @@ def test_build_p_opt_matches_reference_loop(problem):
             assert tv_distance(law, prior) == pytest.approx(
                 tv_distance_reference(law, prior), abs=1e-12
             )
+    _assert_replays_array_reference(prior, value, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, "random"])
+def test_build_p_opt_replays_array_reference_bits_at_scale(n, alpha):
+    # Few distinct values (long ties), a support that skips ids (so opt may
+    # be off it), masses of 5e-10 among ordinary ones, and a callable value.
+    rng = np.random.default_rng([27, n])
+    alpha = float(rng.random()) if alpha == "random" else alpha
+    values = np.round(rng.random(n + 5) * 8.0) / 8.0
+    ids = np.sort(rng.choice(n + 5, size=n, replace=False))
+    tiny = rng.random(n) < 0.2
+    tiny[0] = False
+    weights = rng.random(n) + 0.01
+    probs = np.where(tiny, 5e-10, weights / weights[~tiny].sum() * (1.0 - 5e-10 * tiny.sum()))
+    prior = Distribution.from_arrays(ids, probs)
+    _assert_replays_array_reference(prior, ValueFunction.from_array(values), alpha)
+    if n <= 1000:
+        _assert_replays_array_reference(prior, ValueFunction(lambda i: float(values[i])), alpha)

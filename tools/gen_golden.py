@@ -5,8 +5,10 @@ default alpha grid for every scenario and algorithm, a longer bids and
 synthetic epsilon-mix sweep, and the
 ``oracle-check`` report of every preset for both algorithms.  The bytes
 follow numpy's generator streams, so ``numpy.txt`` records the numpy
-version they were made with.  Run from the repository root after a change
-that is meant to alter outputs, and list the changed files in CHANGES.md:
+version they were made with; the epsilon-mix oracle reports also go
+through ``scipy.special.bdtr``, so ``scipy.txt`` records the scipy version.
+Run from the repository root after a change that is meant to alter
+outputs, and list the changed files in CHANGES.md:
 
     PYTHONPATH=src python tools/gen_golden.py
 """
@@ -18,6 +20,7 @@ import io
 import pathlib
 
 import numpy as np
+import scipy
 
 from fairmix import cli
 
@@ -69,7 +72,8 @@ def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in CASES:
         print(run_case(name, GOLDEN_DIR))
-    (GOLDEN_DIR / "numpy.txt").write_text(np.__version__ + "\n", encoding="utf-8")
+    for lib in (np, scipy):
+        (GOLDEN_DIR / f"{lib.__name__}.txt").write_text(lib.__version__ + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
