@@ -89,20 +89,28 @@ class _PanelValue(ValueFunction):
 
     def many(self, solutions: Sequence[Any]) -> np.ndarray:
         """Per row chunk of about 32k floats, a running ``np.minimum`` over one
-        ``cdist`` of the distinct members: bit-identical to :func:`panel_cost`."""
+        ``cdist`` of the distinct members, found with a bool mask over the pool:
+        bit-identical to :func:`panel_cost`.  An id outside the pool or a row that
+        is not strictly ascending is a ``ParameterError``, as in :func:`panel_cost`."""
         if not isinstance(solutions, PanelBatch):
             return super().many(solutions)
         from scipy.spatial.distance import cdist
 
-        n_pool = len(self.points)
-        distinct = np.unique(solutions.members)
+        n_pool, members = len(self.points), solutions.members
+        if members.size and (members.min() < 0 or members.max() >= n_pool):
+            raise ParameterError(f"panel indices must lie in [0, {n_pool})")
+        if not (members[:, 1:] > members[:, :-1]).all():
+            raise ParameterError("panel members must be distinct, ascending in a PanelBatch")
+        seen = np.zeros(n_pool, dtype=bool)
+        seen[members] = True
+        distinct = np.flatnonzero(seen)
         d2 = cdist(self.points[distinct], self.points, metric="sqeuclidean")
         row_of = np.empty(n_pool, dtype=np.intp)
         row_of[distinct] = np.arange(distinct.size)
         cost = np.empty(len(solutions))
         step = max(1, 32_768 // n_pool)
         for lo in range(0, cost.size, step):
-            rows = row_of[solutions.members[lo : lo + step]]
+            rows = row_of[members[lo : lo + step]]
             nearest = d2[rows[:, 0]]
             for col in rows.T[1:]:
                 np.minimum(nearest, d2[col], out=nearest)
@@ -169,6 +177,8 @@ class RandomReplaceSampler:
     swapping in the first one not on the current panel: a member displaced
     earlier may come back, one not yet visited blocks.  If every neighbor
     collides the member is kept.  :meth:`sample` is :meth:`sample_many`'s row.
+    Draws run in narrow local ids over ``universe``, the ascending pool ids of
+    the reference members and their neighbours (at most ``k * (q + 1)``).
     """
 
     def __init__(self, points: np.ndarray, initial: Sequence[int], q: int | None = None):
@@ -180,6 +190,10 @@ class RandomReplaceSampler:
         if not 0 <= self.q <= k:
             raise ParameterError(f"replace count must lie in [0, {k}], got {self.q!r}")
         self.neighbors = self._neighbor_table()
+        self.universe = np.unique(np.concatenate([members, self.neighbors.ravel()]))
+        local = np.min_scalar_type(self.universe.size)
+        self._local_initial = np.searchsorted(self.universe, self.initial).astype(local)
+        self._local_neighbors = np.searchsorted(self.universe, self.neighbors).astype(local)
 
     def _neighbor_table(self) -> np.ndarray:
         """``(k, q)``: the ``q`` nearest other pool points of each reference member."""
@@ -199,20 +213,26 @@ class RandomReplaceSampler:
 
     def sample_many(self, rng: np.random.Generator, n: int) -> PanelBatch:
         """``n`` independent draws as one :class:`PanelBatch`: one ``rng.permuted``
-        call draws all positions, one per step all candidate orders."""
-        k, q = len(self.initial), self.q
+        call draws all positions, one per step all candidate orders.  A flat
+        ``(n, universe.size)`` bool table holds who sits on each row's panel."""
+        k, q, width = len(self.initial), self.q, self.universe.size
         small = np.min_scalar_type(k)  # positions and tries index at most k entries
         order = rng.permuted(np.broadcast_to(np.arange(k, dtype=small), (n, k)), axis=1)
         positions = np.sort(order[:, :q], axis=1)
         tries = np.broadcast_to(np.arange(q, dtype=small), (n, q))
-        members = np.tile(np.array(self.initial, dtype=np.intp), (n, 1))
+        rows, base = np.arange(n), np.arange(0, n * width, width)  # base: row offsets in seats
+        seats = np.zeros(n * width, dtype=bool)
+        seats[base[:, None] + self._local_initial] = True
         for pos in positions.T:
-            cand = self.neighbors[pos[:, None], rng.permuted(tries, axis=1)]
-            free = ~(cand[:, :, None] == members[:, None, :]).any(axis=2)
-            swap = np.flatnonzero(free.any(axis=1))  # rows where some candidate is free
-            members[swap, pos[swap]] = cand[swap, free[swap].argmax(axis=1)]
-        members.sort(axis=1)
-        return PanelBatch(members)
+            cand = self._local_neighbors[pos[:, None], rng.permuted(tries, axis=1)]
+            taken = seats[cand + base[:, None]]
+            first = taken.argmin(axis=1)  # the first free try, or 0 if none is free
+            leave = base + self._local_initial[pos]  # a slot changes only at its own visit
+            seats[leave] = False
+            seats[np.where(taken[rows, first], leave, base + cand[rows, first])] = True
+        seats = np.flatnonzero(seats).reshape(n, k)  # set bits in order, ascending per row
+        seats -= base[:, None]
+        return PanelBatch(self.universe[seats])
 
 
 def sortition_fwi_instance(

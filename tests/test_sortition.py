@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from conftest import RecordingGenerator, random_replace_reference
@@ -268,6 +270,50 @@ class TestRandomReplaceBatch:
             tracemalloc.stop()
         assert peak <= 3_000_000
 
+    def test_wide_draw_memory(self):
+        # k = 40, q = 30: the (n, universe) seat table stays below the
+        # (n, q, k) collision comparison it replaced (3.81 MB here).
+        points = np.random.default_rng(90).random((1000, 3))
+        initial = kmeanspp_select(points, 40, np.random.default_rng(91))
+        sampler = RandomReplaceSampler(points, initial, q=30)
+        assert sampler.universe.size == 767
+        rng = np.random.default_rng(92)
+        tracemalloc.start()
+        try:
+            sampler.sample_many(rng, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_800_000
+
+    def test_universe_is_members_and_neighbours(self, bundled_sampler):
+        want = set(bundled_sampler.initial) | set(bundled_sampler.neighbors.ravel().tolist())
+        assert bundled_sampler.universe.tolist() == sorted(want)
+        assert bundled_sampler._local_neighbors.dtype == np.uint8
+
+
+@st.composite
+def random_replace_pools(draw):
+    """A small pool on a coarse grid (repeated points are likely), a
+    reference panel of random size k and a replace count q in [0, k] that
+    the pool has enough other points for."""
+    n_pool = draw(st.integers(2, 12))
+    coords = draw(st.lists(st.integers(0, 2), min_size=2 * n_pool, max_size=2 * n_pool))
+    k = draw(st.integers(1, n_pool))
+    initial = draw(st.lists(st.integers(0, n_pool - 1), min_size=k, max_size=k, unique=True))
+    q = draw(st.integers(0, min(k, n_pool - 1)))  # q neighbours need q other points
+    points = np.array(coords, dtype=float).reshape(n_pool, 2)
+    return RandomReplaceSampler(points, initial, q=q)
+
+
+@settings(deadline=None)
+@given(sampler=random_replace_pools(), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_random_pool_rows_replay_exactly(sampler, n, seed):
+    # RecordingGenerator only has ``permuted``: any other RNG use fails here.
+    batch, want = replay(sampler, n, seed)
+    assert batch.members.shape == (n, len(sampler.initial))
+    assert [batch[i] for i in range(n)] == want
+
 
 class TestPanelValueBatch:
     @staticmethod
@@ -290,6 +336,24 @@ class TestPanelValueBatch:
         assert np.array_equal(value.many(repeated), self.scalar(value, repeated))
         one = PanelBatch(members[1:2])
         assert np.array_equal(value.many(one), self.scalar(value, one))
+
+    @pytest.mark.parametrize(
+        "panel, match",
+        [((-1, 3), r"lie in \[0, 200\)"), ((3, 200), r"lie in \[0, 200\)"), ((3, 3), "distinct")],
+    )
+    def test_bad_ids_rejected_as_by_scalar_path(self, panel, match):
+        # Unchecked, -1 wraps to the last point, 200 is a bare IndexError and
+        # (3, 3) is valued as the one-member panel (3,).
+        points = np.random.default_rng(83).random((200, 2))
+        with pytest.raises(ParameterError, match=match):
+            likelihood_value(points).many(PanelBatch(np.array([(0, 1), panel])))
+        with pytest.raises(ParameterError, match=match):
+            panel_cost(panel, points)
+
+    def test_unsorted_row_rejected(self):
+        points = np.random.default_rng(84).random((10, 2))
+        with pytest.raises(ParameterError, match="ascending"):
+            likelihood_value(points).many(PanelBatch(np.array([[5, 3]])))
 
     def test_list_of_panels_valued_one_by_one(self, cloud):
         value = likelihood_value(cloud)
