@@ -77,14 +77,32 @@ def test_summary_counts_failures_and_skips_them_in_medians(pairs):
     assert not out["setup_s"]["medians_differ_beyond_parent_iqr"]
 
 
-def test_main_recomputes_summary_and_attaches(pairs, tmp_path):
+def test_main_writes_fresh_out_from_its_own_runs(pairs, tmp_path, monkeypatch):
+    """``main`` runs the pairs in alternating order at the benchmark's run length
+    and replaces an existing ``--out`` rather than adding to it."""
+    canned = iter([pairs[0]["parent"], pairs[0]["change"],   # pair 1: parent first
+                   pairs[1]["change"], pairs[1]["parent"]])  # pair 2: change first
+    calls = []
+
+    def run_side(directory, workload, seed, seconds):
+        calls.append((directory, workload, seed, seconds))
+        return next(canned)
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    parent, change = tmp_path / "parent", tmp_path / "change"
     out = tmp_path / "BENCH.json"
-    out.write_text(json.dumps({"runs": {"panels-eps@7": pairs}}))
+    out.write_text(json.dumps({"runs": {"panels-eps@7": pairs}, "stale": True}))
     extra = tmp_path / "split.json"
     extra.write_text(json.dumps({"draw_ms": 1.0}))
-    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
-                             "--out", str(out), "--attach", f"split={extra}"]) == 0
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--run", "panels-eps@7:2", "--out", str(out),
+                             "--attach", f"split={extra}"]) == 0
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert calls == [(str(d), "panels-eps", 7, seconds)
+                     for d in (parent, change, change, parent)]
     bench = json.loads(out.read_text())
-    assert bench["split"] == {"draw_ms": 1.0}
-    assert bench["summary"]["panels-eps@7"]["samples_per_s"]["change_wins"] == 1
-    assert set(bench["summary"]["panels-eps@7"]) >= {"setup_s", "samples_per_s", "job_s"}
+    assert "stale" not in bench and bench["split"] == {"draw_ms": 1.0}
+    assert [p["order"] for p in bench["runs"]["panels-eps@7"]] == ["parent, change",
+                                                                  "change, parent"]
+    summary = bench["summary"]["panels-eps@7"]
+    assert summary["pairs"] == 2 and summary["samples_per_s"]["change_wins"] == 1

@@ -7,17 +7,18 @@ Usage, from the repository root:
 
 Each ``--run WORKLOAD@SEED:PAIRS`` runs ``PAIRS`` pairs.  A pair is one
 
-    python3 fairbench/run.py --workload WORKLOAD --seed SEED --seconds 15 --trace 0
+    python3 fairbench/run.py --workload WORKLOAD --seed SEED --seconds RUN_SECONDS --trace 0
 
-in each directory, parent first in odd pairs and change first in even ones.
+in each directory, parent first in odd pairs and change first in even ones;
+the run length is ``run_seconds`` from ``BENCHMARK.json``.
 A run's record is its exit code plus ``correct``, ``attempted``, ``failed``
 and the end-to-end metrics from the JSON object on its last stdout line.
-Records are appended to ``--out`` when it exists, and the summary is
-recomputed over all of them: for each metric and side the median and
-quartiles, the change/parent ratio of the medians, and the pairs the change
-won, in the direction ``BENCHMARK.json`` gives as ``better``.  A run with no
-readable result counts as incorrect; incorrect runs are left out of the
-medians and the win counts.
+``--out`` is written afresh from this invocation's runs, with a summary per
+workload@seed: for each metric and side the median and quartiles, the
+change/parent ratio of the medians, and the pairs the change won, in the
+direction ``BENCHMARK.json`` gives as ``better``.  A run with no readable
+result counts as incorrect; incorrect runs are left out of the medians and
+the win counts.
 ``--attach NAME=FILE`` stores the JSON object in ``FILE`` under ``NAME``.
 
 The script reads ``BENCHMARK.json`` and runs ``fairbench/run.py`` in each
@@ -116,23 +117,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--run", type=_run_spec, action="append", default=[],
                         metavar="WORKLOAD@SEED:PAIRS")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--attach", action="append", default=[], metavar="NAME=FILE")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    bench = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            bench = json.load(fh)
-    bench.setdefault("host", {"nproc": os.cpu_count(), "python": platform.python_version(),
-                              "numpy": numpy.__version__, "scipy": scipy.__version__})
-    bench["command"] = ("python3 fairbench/run.py --workload <w> --seed <s> "
-                        f"--seconds {args.seconds:g} --trace 0, in each directory, "
-                        "parent first in odd pairs and change first in even ones")
-    runs = bench.setdefault("runs", {})
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = float(spec["run_seconds"])
+    bench = {
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "command": ("python3 fairbench/run.py --workload <w> --seed <s> "
+                    f"--seconds {seconds:g} --trace 0, in each directory, "
+                    "parent first in odd pairs and change first in even ones"),
+        "runs": {},
+    }
+    runs = bench["runs"]
     dirs = {"parent": args.parent, "change": args.change}
     for workload, seed, n_pairs in args.run:
         key = f"{workload}@{seed}"
@@ -141,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if pair["pair"] % 2 else ("change", "parent")
             pair["order"] = ", ".join(order)
             for side in order:
-                pair[side] = run_side(dirs[side], workload, seed, args.seconds)
+                pair[side] = run_side(dirs[side], workload, seed, seconds)
             runs.setdefault(key, []).append(pair)
             print(f"{key} pair {pair['pair']}: " + ", ".join(
                 f"{s} {pair[s].get('samples_per_s', 'no result')}" for s in order), flush=True)
